@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint lint-bench build test race fuzz-smoke bench modelcheck-smoke fault-smoke fault-verify-smoke shard-smoke batch-smoke
+.PHONY: check fmt vet lint lint-bench build test race fuzz-smoke bench modelcheck-smoke fault-smoke fault-verify-smoke shard-smoke batch-smoke bench-harness-test
 
 # check chains the full tier-1 verify: formatting, vet, the oblint
 # model-invariant analyzer, build, and tests.
@@ -107,6 +107,13 @@ bench:
 	$(GO) run ./cmd/benchjson -in .bench-out.txt -out BENCH_sim.json \
 		-label "$(BENCH_LABEL)" -note "$(BENCH_NOTE)"
 	@rm -f .bench-out.txt
+
+# bench-harness-test runs the repository benchmark harness's own tests.
+# perfbench/_harness is a Go module of its own (replace -> ../..), so
+# `make test` never reaches it; it wraps engine internals, so an engine
+# change that breaks it shows up here rather than at benchmark time.
+bench-harness-test:
+	cd perfbench/_harness && $(GO) test ./...
 
 # modelcheck-smoke proves the parallel explorer's determinism contract on
 # a real instance: the -json reports of a sequential and a 4-worker run

@@ -20,16 +20,15 @@ import (
 //
 // Never use this machine for anything but ablation studies.
 type Alg2Unguarded struct {
-	id     uint64
-	cwPort pulse.Port
-
+	id             uint64
 	rhoCW, sigCW   uint64
 	rhoCCW, sigCCW uint64
+	err            error
 
+	cwPort     pulse.Port
 	state      node.State
 	termSent   bool
 	terminated bool
-	err        error
 }
 
 // NewAlg2Unguarded returns the ablated machine.

@@ -19,13 +19,16 @@ import (
 // Leader state (Lemma 16 extends this to non-unique IDs).
 //
 // The algorithm stabilizes but never terminates: Ready stays true forever.
+//
+// Fields are ordered widest first, which packs the struct into the
+// allocator's 48-byte size class.
 type Alg1 struct {
 	id     uint64
-	cwPort pulse.Port // the port leading to the clockwise neighbor
-	rhoCW  uint64     // clockwise pulses received
-	sigCW  uint64     // clockwise pulses sent
-	state  node.State
+	rhoCW  uint64 // clockwise pulses received
+	sigCW  uint64 // clockwise pulses sent
 	err    error
+	cwPort pulse.Port // the port leading to the clockwise neighbor
+	state  node.State
 }
 
 // NewAlg1 returns an Algorithm 1 machine for a node with the given positive

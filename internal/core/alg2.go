@@ -21,17 +21,18 @@ import (
 // upon its first observation of rho_ccw > rho_cw, forwarding the extra
 // pulse once (non-leaders) or absorbing it (the leader, which terminates
 // last).
+//
+// Fields are ordered widest first, which packs the struct into 64 bytes.
 type Alg2 struct {
-	id     uint64
-	cwPort pulse.Port
-
+	id             uint64
 	rhoCW, sigCW   uint64
 	rhoCCW, sigCCW uint64
+	err            error
 
+	cwPort     pulse.Port
 	state      node.State
 	termSent   bool // the unique-event pulse of line 15 has been sent
 	terminated bool
-	err        error
 }
 
 // NewAlg2 returns an Algorithm 2 machine for a node with the given positive

@@ -64,13 +64,15 @@ func (s IDScheme) virtualIDs(id uint64) ([2]uint64, error) {
 // every node.
 //
 // The algorithm reaches quiescence but never terminates.
+//
+// Fields are ordered widest first, which packs the struct into 64 bytes.
 type Alg3 struct {
-	id     uint64
-	scheme IDScheme
-	vid    [2]uint64 // vid[i] governs forwarding out of port i
-	rho    [2]uint64 // pulses received per port
-	sig    [2]uint64 // pulses sent per port
+	id  uint64
+	vid [2]uint64 // vid[i] governs forwarding out of port i
+	rho [2]uint64 // pulses received per port
+	sig [2]uint64 // pulses sent per port
 
+	scheme   IDScheme
 	state    node.State
 	oriented bool
 	cwPort   pulse.Port

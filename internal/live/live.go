@@ -483,7 +483,7 @@ func (e emitter) Send(p pulse.Port, m pulse.Pulse) {
 // applyNodeFault consults the plane after node k's handler invocation and
 // applies the outcome. It returns false when the node crashed (the caller
 // must stop consuming); restart and corruption keep the node running.
-func (r *netRuntime) applyNodeFault(k int, m node.PulseMachine, em emitter) bool {
+func (r *netRuntime) applyNodeFault(k int, m node.PulseMachine, em node.PulseEmitter) bool {
 	if r.plane == nil {
 		return true
 	}
@@ -513,7 +513,7 @@ func (r *netRuntime) applyNodeFault(k int, m node.PulseMachine, em emitter) bool
 func (r *netRuntime) nodeLoop(k int) {
 	defer r.wg.Done()
 	m := r.machines[k]
-	em := emitter{r: r, from: k}
+	var em node.PulseEmitter = emitter{r: r, from: k}
 
 	m.Init(em)
 	alive := r.applyNodeFault(k, m, em)
@@ -528,7 +528,10 @@ func (r *netRuntime) nodeLoop(k int) {
 
 // consume runs node k's delivery loop until termination, shutdown, or a
 // fault-plane crash (which it hands to the supervisor when one exists).
-func (r *netRuntime) consume(k int, m node.PulseMachine, em emitter) {
+// em is already the node.PulseEmitter interface value: converting the
+// two-word emitter allocates, so callers convert once per loop, not
+// once per delivery.
+func (r *netRuntime) consume(k int, m node.PulseMachine, em node.PulseEmitter) {
 	in0 := r.conduits[2*k+0]
 	in1 := r.conduits[2*k+1]
 	for {
@@ -621,7 +624,7 @@ func (r *netRuntime) superviseLoop() {
 // or releases it on an unhealable crash.
 func (r *netRuntime) heal(k int) {
 	m := r.machines[k]
-	em := emitter{r: r, from: k}
+	var em node.PulseEmitter = emitter{r: r, from: k}
 	if r.policy == RestoreInit {
 		u, ok := m.(node.Undoable)
 		if !ok || r.initSnaps[k] == nil {

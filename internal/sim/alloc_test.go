@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"runtime"
 	"testing"
 
 	"coleader/internal/core"
@@ -43,5 +44,38 @@ func TestRunAllocsWithoutObserver(t *testing.T) {
 	if allocs > 1000 {
 		t.Fatalf("construction + %d-pulse run allocated %.0f objects, want <= 1000 (hot path must not allocate)",
 			core.PredictedAlg2Pulses(n, uint64(n)), allocs)
+	}
+}
+
+// TestBatchedBytesPerNode pins the batched engine's construction cost:
+// the heap growth across sim.New on a 2^16-node Algorithm 1 ring with
+// the Heaviest scheduler and batching, per node. The budget covers the
+// two channel FIFOs, the wiring caches, the deliverable bitset, the
+// Heaviest heap's index and the batch machine table; a per-channel
+// field the batched path never reads (a cached endpoint, an eagerly
+// allocated oldest-heap mark) pushes it over.
+func TestBatchedBytesPerNode(t *testing.T) {
+	const n = 1 << 16
+	topo, err := ring.Oriented(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := core.Alg1Machines(topo, ring.ConsecutiveIDs(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err := sim.New(topo, ms, sim.Heaviest{}, sim.WithBatching())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	perNode := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	if perNode > 130 {
+		t.Fatalf("sim.New grew the heap by %.1f B/node, want <= 130", perNode)
 	}
 }

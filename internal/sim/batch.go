@@ -150,14 +150,14 @@ func (s *Sim[M]) flushRuns(from int, consumed uint64, ev *Event) error {
 			if s.outDir[out] != want {
 				continue
 			}
-			to := s.peer[out]
-			if s.termAt[to.Node] != 0 {
+			c := int(s.peerCh[out])
+			if s.termAt[ChanNode(c)] != 0 {
 				return fmt.Errorf("%w: node %d sent %s toward node %d",
-					ErrPostTerminationSend, from, want, to.Node)
+					ErrPostTerminationSend, from, want, ChanNode(c))
 			}
-			s.enqueueRun(s.peerCh[out], pr.n, want)
+			s.enqueueRun(c, pr.n, want)
 			if ev != nil {
-				ev.Sends = append(ev.Sends, SendRec{From: from, Port: pr.port, Dir: want, To: to, Count: pr.n})
+				ev.Sends = append(ev.Sends, SendRec{From: from, Port: pr.port, Dir: want, To: chanEndpoint(c), Count: pr.n})
 			}
 		}
 	}

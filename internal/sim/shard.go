@@ -277,6 +277,9 @@ func newSharded[M any](t ring.Topology, shards int, mk MkScheduler) (*Sharded[M]
 		return nil, errors.New("sim: nil scheduler factory")
 	}
 	n := t.N()
+	if err := checkRingSize(n); err != nil {
+		return nil, err
+	}
 	if shards < 1 {
 		return nil, fmt.Errorf("sim: shard count %d must be at least 1", shards)
 	}
@@ -850,7 +853,7 @@ func (s *Sharded[M]) barrier() error {
 		}
 		for _, c := range a.dirty {
 			q := &s.queues[c]
-			for j := frozenLen(q, boundary); j < q.n; j++ {
+			for j := frozenLen(q, boundary); j < int(q.n); j++ {
 				q.at(j).seq += off
 			}
 		}

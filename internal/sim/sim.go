@@ -145,8 +145,7 @@ type Sim[M any] struct {
 
 	chanDir []pulse.Direction // arrival direction on each channel
 	outDir  []pulse.Direction // travel direction of sends out of (node, port)
-	peer    []ring.Endpoint   // receiving endpoint of sends out of (node, port)
-	peerCh  []int             // channel id of peer, same indexing
+	peerCh  []int32           // channel reached by sends out of (node, port)
 
 	// deliv is the incrementally maintained deliverable set: bit c is set
 	// iff channel c holds a queued message whose receiver is initialized,
@@ -169,7 +168,8 @@ type Sim[M any] struct {
 	// the first OldestDeliverable consult (oldestOn): schedulers that
 	// never ask — Heaviest, Newest, Random — pay nothing, and the first
 	// consult rebuilds the heap from the live deliverable set, which is
-	// exactly the candidate set continuous maintenance would have kept.
+	// exactly the candidate set continuous maintenance would have kept,
+	// and allocates heapSeq.
 	oldest   []heapEntry
 	heapSeq  []uint64 // last seq pushed per channel; 0 = none
 	oldestOn bool
@@ -230,22 +230,32 @@ type entry[M any] struct {
 // past a few entries no matter how many messages pass through it.
 // tot is the queued message count (Σ cnt over entries): equal to n on
 // non-batched paths, and the scheduler-visible queue length everywhere.
+// Buffers start at one entry (on the batched path most channels never
+// hold more than one run) and double. head and n are int32, so push
+// panics rather than grow one queue past maxQueueEntries.
 type fifo[M any] struct {
 	buf  []entry[M] // power-of-two capacity
-	head int
-	n    int
+	head int32
+	n    int32
 	tot  uint64
 }
 
+// maxQueueEntries caps one channel's buffer capacity, keeping fifo's
+// int32 head and count exact.
+const maxQueueEntries = 1 << 30
+
 func (q *fifo[M]) push(e entry[M]) {
-	if q.n == len(q.buf) {
-		grown := make([]entry[M], max(4, 2*len(q.buf)))
-		for i := 0; i < q.n; i++ {
-			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+	if int(q.n) == len(q.buf) {
+		if len(q.buf) == maxQueueEntries {
+			panic(fmt.Sprintf("sim: channel queue exceeds %d entries", maxQueueEntries))
+		}
+		grown := make([]entry[M], max(1, 2*len(q.buf)))
+		for i := range int(q.n) {
+			grown[i] = *q.at(i)
 		}
 		q.buf, q.head = grown, 0
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = e
+	*q.at(int(q.n)) = e
 	q.n++
 	q.tot += e.cnt
 }
@@ -260,7 +270,7 @@ func (q *fifo[M]) push(e entry[M]) {
 // the barrier.
 func (q *fifo[M]) pushRun(e entry[M], mergeFloor uint64) {
 	if q.n > 0 {
-		tail := &q.buf[(q.head+q.n-1)&(len(q.buf)-1)]
+		tail := q.at(int(q.n) - 1)
 		if tail.seq > mergeFloor && tail.seq+tail.cnt == e.seq {
 			tail.cnt += e.cnt
 			q.tot += e.cnt
@@ -273,7 +283,7 @@ func (q *fifo[M]) pushRun(e entry[M], mergeFloor uint64) {
 func (q *fifo[M]) pop() entry[M] {
 	e := q.buf[q.head]
 	q.buf[q.head] = entry[M]{} // release any payload reference
-	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.head = (q.head + 1) & int32(len(q.buf)-1)
 	q.n--
 	q.tot -= e.cnt
 	return e
@@ -294,7 +304,7 @@ func (q *fifo[M]) popPulses(m uint64) {
 		}
 		m -= f.cnt
 		q.buf[q.head] = entry[M]{}
-		q.head = (q.head + 1) & (len(q.buf) - 1)
+		q.head = (q.head + 1) & int32(len(q.buf)-1)
 		q.n--
 	}
 }
@@ -302,7 +312,7 @@ func (q *fifo[M]) popPulses(m uint64) {
 func (q *fifo[M]) front() *entry[M] { return &q.buf[q.head] }
 
 // at returns the i-th queued entry (0 = front). i must be < n.
-func (q *fifo[M]) at(i int) *entry[M] { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+func (q *fifo[M]) at(i int) *entry[M] { return &q.buf[(int(q.head)+i)&(len(q.buf)-1)] }
 
 // frozenLen returns how many of q's entries carry a sequence number at
 // or below boundary. Entries are queued in strictly ascending sequence
@@ -311,7 +321,7 @@ func (q *fifo[M]) at(i int) *entry[M] { return &q.buf[(q.head+i)&(len(q.buf)-1)]
 // The sharded engine and its sequential reference driver both use this
 // as the scheduler-visible queue length during an epoch.
 func frozenLen[M any](q *fifo[M], boundary uint64) int {
-	lo, hi := 0, q.n
+	lo, hi := 0, int(q.n)
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if q.at(mid).seq <= boundary {
@@ -332,7 +342,7 @@ func frozenLen[M any](q *fifo[M], boundary uint64) int {
 // scheduler-visible queue length and its per-transition run budget.
 func frozenPulses[M any](q *fifo[M], boundary uint64) uint64 {
 	fl := frozenLen(q, boundary)
-	if fl == q.n {
+	if fl == int(q.n) {
 		return q.tot
 	}
 	var tot uint64
@@ -462,6 +472,7 @@ func (s *Sim[M]) oldestDeliverable() (c int, ok bool) {
 		// which is exactly what continuous maintenance would hold (minus
 		// stale entries). Incremental pushes keep it current from here.
 		s.oldestOn = true
+		s.heapSeq = make([]uint64, len(s.queues))
 		s.heapCompact()
 	}
 	for len(s.oldest) > 0 {
@@ -522,6 +533,18 @@ func WithRescanDeliverable[M any]() Option[M] {
 	return func(s *Sim[M]) { s.rescan = true }
 }
 
+// maxNodes is the largest ring the constructors accept: channel ids run
+// to 2n-1 and are stored as int32 in the wiring caches and the heaps.
+const maxNodes = 1 << 30
+
+// checkRingSize rejects rings whose channel ids would not fit in int32.
+func checkRingSize(n int) error {
+	if n > maxNodes {
+		return fmt.Errorf("sim: ring of %d nodes exceeds the %d-node limit (channel ids must fit in int32)", n, maxNodes)
+	}
+	return nil
+}
+
 // newSim builds the machine-free core of a simulation: queues, wiring
 // caches, and the incremental deliverable machinery. New and NewFlat
 // attach their machine banks and apply options on top.
@@ -530,6 +553,9 @@ func newSim[M any](t ring.Topology, sched Scheduler) (*Sim[M], error) {
 		return nil, errors.New("sim: nil scheduler")
 	}
 	n := t.N()
+	if err := checkRingSize(n); err != nil {
+		return nil, err
+	}
 	s := &Sim[M]{
 		topo:    t,
 		sched:   sched,
@@ -538,10 +564,8 @@ func newSim[M any](t ring.Topology, sched Scheduler) (*Sim[M], error) {
 		termAt:  make([]uint64, n),
 		chanDir: make([]pulse.Direction, 2*n),
 		outDir:  make([]pulse.Direction, 2*n),
-		peer:    make([]ring.Endpoint, 2*n),
-		peerCh:  make([]int, 2*n),
+		peerCh:  make([]int32, 2*n),
 		deliv:   make(bitset, (2*n+63)/64),
-		heapSeq: make([]uint64, 2*n),
 		crashed: make([]bool, n),
 	}
 	for k := 0; k < n; k++ {
@@ -549,12 +573,13 @@ func newSim[M any](t ring.Topology, sched Scheduler) (*Sim[M], error) {
 			// Channel into (k, p) carries messages traveling opposite to
 			// the direction k would send out of p. The outgoing wiring is
 			// cached here once so flushSends never consults the topology
-			// on the per-send path.
+			// on the per-send path; the receiving endpoint is recovered
+			// from the peer's channel id with chanEndpoint.
 			c := chanID(k, p)
 			s.chanDir[c] = t.ArrivalDirection(k, p)
 			s.outDir[c] = t.DirectionOf(k, p)
-			s.peer[c] = t.Peer(k, p)
-			s.peerCh[c] = chanID(s.peer[c].Node, s.peer[c].Port)
+			to := t.Peer(k, p)
+			s.peerCh[c] = int32(chanID(to.Node, to.Port))
 		}
 	}
 	s.em.s = s
@@ -664,6 +689,9 @@ func ChanNode(c int) int { return c / 2 }
 // ChanPort returns the receiving port of channel c.
 func ChanPort(c int) pulse.Port { return pulse.Port(c % 2) }
 
+// chanEndpoint returns the receiving endpoint of channel c.
+func chanEndpoint(c int) ring.Endpoint { return ring.Endpoint{Node: ChanNode(c), Port: ChanPort(c)} }
+
 // emitter buffers a handler's sends so they take effect atomically, with
 // clockwise sends enqueued first. That ordering realizes the canonical
 // scheduler's tie-break of Definition 21 ("prioritizing CW pulses" among
@@ -701,12 +729,11 @@ func (s *Sim[M]) flushSends(from int, ev *Event) error {
 			if s.outDir[out] != want {
 				continue
 			}
-			to := s.peer[out]
-			if s.termAt[to.Node] != 0 {
+			c := int(s.peerCh[out])
+			if s.termAt[ChanNode(c)] != 0 {
 				return fmt.Errorf("%w: node %d sent %s toward node %d",
-					ErrPostTerminationSend, from, want, to.Node)
+					ErrPostTerminationSend, from, want, ChanNode(c))
 			}
-			c := s.peerCh[out]
 			if s.plane != nil {
 				switch s.plane.OnSend(s.step, c) {
 				case fault.Loss:
@@ -717,7 +744,7 @@ func (s *Sim[M]) flushSends(from int, ev *Event) error {
 			}
 			s.enqueue(c, ps.msg, want)
 			if ev != nil {
-				ev.Sends = append(ev.Sends, SendRec{From: from, Port: ps.port, Dir: want, To: to})
+				ev.Sends = append(ev.Sends, SendRec{From: from, Port: ps.port, Dir: want, To: chanEndpoint(c)})
 			}
 		}
 	}
