@@ -31,7 +31,9 @@ const (
 	SchedCCWFirst SchedulerName = "ccw-first"
 	// SchedCWFirst starves the counterclockwise direction.
 	SchedCWFirst SchedulerName = "cw-first"
-	// SchedFlaky alternates canonical and random bursts.
+	// SchedFlaky alternates canonical and random bursts: the public
+	// name of sim.Laggy. It only reorders deliveries; it never drops or
+	// corrupts a pulse.
 	SchedFlaky SchedulerName = "flaky"
 	// SchedHashDelay fixes a pseudo-random delay per message at send time.
 	SchedHashDelay SchedulerName = "hashdelay"
