@@ -165,16 +165,16 @@ fault-verify-smoke:
 	@rm -f .fverify-w1.json .fverify-w4.json .fverify-div-w1.json .fverify-div-w4.json
 
 # batch-smoke proves the batch fast path's determinism contract: two
-# identical batched runs — Heaviest scheduler, consecutive IDs, flat
-# bank, sequential engine — must be byte-identical (including the
-# transition/coalescing counts), and the batch path must be race-clean.
+# identical batched runs — Heaviest scheduler, consecutive IDs — must
+# be byte-identical (including the transition/coalescing counts), and
+# the batch path must be race-clean.
 # The event-level equivalence against the run-expanded sequential
 # reference is the TestBatchedMatchesExpandedReference differential
 # inside the race run.
 batch-smoke:
-	$(GO) run ./cmd/ringsim -algo alg2 -n 4096 -idgen consecutive -flat -batch \
+	$(GO) run ./cmd/ringsim -algo alg2 -n 4096 -idgen consecutive -batch \
 		-sched heaviest -seed 3 2>/dev/null > .batch-run-a.txt
-	$(GO) run ./cmd/ringsim -algo alg2 -n 4096 -idgen consecutive -flat -batch \
+	$(GO) run ./cmd/ringsim -algo alg2 -n 4096 -idgen consecutive -batch \
 		-sched heaviest -seed 3 2>/dev/null > .batch-run-b.txt
 	cmp .batch-run-a.txt .batch-run-b.txt
 	$(GO) test -race -run 'Batch' ./internal/sim/

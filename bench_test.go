@@ -31,8 +31,7 @@ import (
 // schedule under which runs actually form (canonical's breadth-first
 // order caps coalescing near 3x). Pulse totals are schedule-invariant,
 // so the conservation check against the Theorem 1 prediction is exact
-// here too. BenchmarkAlg2FlatOriented keeps the plain pulse-by-pulse
-// engine measurable.
+// here too.
 //
 // One untimed warmup election runs before the clock starts: this is the
 // first benchmark in the suite, and in a fresh process the GC pacer's
@@ -189,40 +188,6 @@ func BenchmarkAnonymous(b *testing.B) {
 	if ran > 0 {
 		b.ReportMetric(float64(pulses)/float64(ran), "pulses/election")
 	}
-}
-
-// BenchmarkAlg2FlatOriented isolates the struct-of-arrays bank on the
-// sequential engine at E1's largest size: the delta against
-// BenchmarkAlg2Oriented/n=512 is the pointer-machine overhead alone.
-func BenchmarkAlg2FlatOriented(b *testing.B) {
-	const n = 512
-	topo, err := ring.Oriented(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := ring.ConsecutiveIDs(n)
-	pred := core.PredictedAlg2Pulses(n, uint64(n))
-	var pulses uint64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		bank, err := core.NewFlatAlg2(topo, ids)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := sim.NewFlat(topo, bank, sim.Canonical{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := s.Run(4*pred + 1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Sent != pred {
-			b.Fatalf("pulses %d != predicted %d", res.Sent, pred)
-		}
-		pulses += res.Sent
-	}
-	b.ReportMetric(float64(pulses)/float64(b.N), "pulses/op")
 }
 
 // BenchmarkSolitude is E4's regenerator: solitude-pattern extraction cost

@@ -10,7 +10,7 @@
 //	ringsim -algo alg2 -ids 1,2,3 -live
 //	ringsim -algo alg1 -ids 4,9,2,7 -faults corrupt -fault-budget 2
 //	ringsim -algo alg1 -n 1048576 -idgen geometric -batch -sched heaviest -seed 3
-//	ringsim -algo alg2 -n 1000000 -idgen consecutive -flat -batch -sched heaviest
+//	ringsim -algo alg2 -n 1000000 -idgen consecutive -batch -sched heaviest
 package main
 
 import (
@@ -57,19 +57,18 @@ func run() error {
 	faultBudget := flag.Int("fault-budget", 1, "number of injections to schedule (with -faults)")
 	faultTrigger := flag.String("fault-trigger", "local", "trigger mode for -faults: local (per-entity event ordinals) | window (ring-wide delivery ordinals)")
 	heal := flag.String("heal", "", "with -live -faults: supervise crashes and revive nodes (checkpoint | init)")
-	flat := flag.Bool("flat", false, "use the struct-of-arrays machine bank (scale mode)")
 	batch := flag.Bool("batch", false, "coalesce pulse runs into O(1) batch transitions (scale mode; best with -sched heaviest)")
 	idgen := flag.String("idgen", "consecutive", "ID generation for scale-mode runs without -ids: consecutive | geometric | alg4")
 	flag.Parse()
 
-	// -flat and -batch select scale mode: the configurations that reach
-	// million-node rings. The -batch fast path does the run coalescing
-	// measured in EXPERIMENTS.md E16.
-	if *flat || *batch {
+	// -batch selects scale mode: the configuration that reaches
+	// million-node rings, with the run coalescing measured in
+	// EXPERIMENTS.md E16.
+	if *batch {
 		if *liveRun || *doTrace || *diagram || *faults != "" || *flipsFlag != "" {
-			return fmt.Errorf("scale mode (-flat/-batch) does not combine with -live/-trace/-diagram/-faults/-flips")
+			return fmt.Errorf("scale mode (-batch) does not combine with -live/-trace/-diagram/-faults/-flips")
 		}
-		return runScale(*algo, *idsFlag, *idgen, *n, *c, *sched, *seed, *flat, *batch)
+		return runScale(*algo, *idsFlag, *idgen, *n, *c, *sched, *seed)
 	}
 
 	if *faults != "" {
@@ -107,11 +106,11 @@ func run() error {
 		opts = append(opts, coleader.WithLiveRuntime())
 	}
 
-	var flips []bool
-	if *flipsFlag != "" {
-		for _, f := range strings.Split(*flipsFlag, ",") {
-			flips = append(flips, strings.TrimSpace(f) == "1")
-		}
+	flips, err := parseFlips(*flipsFlag)
+	if err != nil {
+		return err
+	}
+	if flips != nil {
 		opts = append(opts, coleader.WithPortFlips(flips...))
 	}
 
@@ -122,10 +121,7 @@ func run() error {
 		return runTraced(*algo, *idsFlag, flips, *sched, *seed, *diagram, *jsonOut)
 	}
 
-	var (
-		res coleader.Result
-		err error
-	)
+	var res coleader.Result
 	switch *algo {
 	case "alg1":
 		ids, perr := parseIDs(*idsFlag)
@@ -170,6 +166,27 @@ func parseIDs(s string) ([]uint64, error) {
 		ids = append(ids, v)
 	}
 	return ids, nil
+}
+
+// parseFlips parses -flips: a comma list of 0/1 port flips, one per
+// node. The empty string means no flips (an oriented ring, nil); any
+// token other than 0 or 1 is an error rather than a silent 0.
+func parseFlips(s string) ([]bool, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var flips []bool
+	for _, part := range strings.Split(s, ",") {
+		switch strings.TrimSpace(part) {
+		case "0":
+			flips = append(flips, false)
+		case "1":
+			flips = append(flips, true)
+		default:
+			return nil, fmt.Errorf("bad port flip %q (want 0 or 1)", part)
+		}
+	}
+	return flips, nil
 }
 
 func report(res coleader.Result) {
@@ -249,11 +266,9 @@ func runFaulted(algo, idsFlag, flipsFlag, schedName string, seed int64,
 	if err != nil {
 		return err
 	}
-	var flips []bool
-	if flipsFlag != "" {
-		for _, f := range strings.Split(flipsFlag, ",") {
-			flips = append(flips, strings.TrimSpace(f) == "1")
-		}
+	flips, err := parseFlips(flipsFlag)
+	if err != nil {
+		return err
 	}
 	topo, ms, predicted, err := buildRing(algo, idsFlag, flips)
 	if err != nil {

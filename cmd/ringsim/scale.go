@@ -6,19 +6,16 @@ import (
 
 	"coleader/internal/core"
 	"coleader/internal/node"
-	"coleader/internal/pulse"
 	"coleader/internal/ring"
 	"coleader/internal/sim"
 )
 
-// runScale executes one election on the sequential engine at scale:
-// with -batch and -sched heaviest it coalesces pulse runs into O(1)
-// transitions and covers 10^6-10^7 node rings on a single core. IDs
-// come from -ids for small runs or from a generator for large ones;
-// -flat switches the machine bank to the struct-of-arrays
-// representation, the memory-lean configuration the largest runs want.
+// runScale executes one batched election at scale: it coalesces pulse
+// runs into O(1) transitions and, with -sched heaviest, covers
+// 10^6-10^7 node rings on a single core. IDs come from -ids for small
+// runs or from a generator for large ones.
 func runScale(algo, idsFlag, idgen string, n int, c float64,
-	schedName string, seed int64, flat, batch bool) error {
+	schedName string, seed int64) error {
 	var ids []uint64
 	if idsFlag != "" {
 		parsed, err := parseIDs(idsFlag)
@@ -60,30 +57,17 @@ func runScale(algo, idsFlag, idgen string, n int, c float64,
 
 	idMax := ring.MaxID(ids)
 	var predicted uint64
-	var bank node.FlatPulseMachine
 	var ms []node.PulseMachine
 	switch algo {
 	case "alg1":
 		predicted = core.PredictedAlg1Pulses(n, idMax)
-		if flat {
-			bank, err = core.NewFlatAlg1(topo, ids)
-		} else {
-			ms, err = core.Alg1Machines(topo, ids)
-		}
+		ms, err = core.Alg1Machines(topo, ids)
 	case "alg2":
 		predicted = core.PredictedAlg2Pulses(n, idMax)
-		if flat {
-			bank, err = core.NewFlatAlg2(topo, ids)
-		} else {
-			ms, err = core.Alg2Machines(topo, ids)
-		}
+		ms, err = core.Alg2Machines(topo, ids)
 	case "alg3":
 		predicted = core.PredictedAlg3Pulses(n, idMax, core.SchemeSuccessor)
-		if flat {
-			bank, err = core.NewFlatAlg3(n, ids, core.SchemeSuccessor)
-		} else {
-			ms, err = core.Alg3Machines(n, ids, core.SchemeSuccessor)
-		}
+		ms, err = core.Alg3Machines(n, ids, core.SchemeSuccessor)
 	default:
 		return fmt.Errorf("scale mode supports alg1|alg2|alg3, not %q", algo)
 	}
@@ -95,21 +79,12 @@ func runScale(algo, idsFlag, idgen string, n int, c float64,
 	if !ok {
 		return fmt.Errorf("unknown scheduler %q", schedName)
 	}
-	var opts []sim.Option[pulse.Pulse]
-	if batch {
-		opts = append(opts, sim.WithBatching())
-	}
-	var s *sim.Sim[pulse.Pulse]
-	if flat {
-		s, err = sim.NewFlat(topo, bank, sched, opts...)
-	} else {
-		s, err = sim.New(topo, ms, sched, opts...)
-	}
+	s, err := sim.New(topo, ms, sched, sim.WithBatching())
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sequential run: algo=%s n=%d idgen=%s id-max=%d sched=%s flat=%t batch=%t\n",
-		algo, n, describeIDs(idsFlag, idgen), idMax, schedName, flat, batch)
+	fmt.Printf("batched run: algo=%s n=%d idgen=%s id-max=%d sched=%s\n",
+		algo, n, describeIDs(idsFlag, idgen), idMax, schedName)
 	stop := watchWall()
 	res, runErr := s.Run(4*predicted + 1024)
 	stop()
@@ -126,14 +101,12 @@ func runScale(algo, idsFlag, idgen string, n int, c float64,
 		res.Sent, res.SentCW, res.SentCCW, predicted)
 	fmt.Printf("quiescent: %t   terminated: %t   steps: %d\n",
 		res.Quiescent, res.AllTerminated, res.Steps)
-	if batch {
-		factor := float64(res.Delivered)
-		if transitions > 0 {
-			factor /= float64(transitions)
-		}
-		fmt.Printf("batch: %d transitions (%d multi-pulse) delivered %d pulses — %.1fx coalescing\n",
-			transitions, multi, res.Delivered, factor)
+	factor := float64(res.Delivered)
+	if transitions > 0 {
+		factor /= float64(transitions)
 	}
+	fmt.Printf("batch: %d transitions (%d multi-pulse) delivered %d pulses — %.1fx coalescing\n",
+		transitions, multi, res.Delivered, factor)
 	return nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"reflect"
 
 	"coleader/internal/core"
-	"coleader/internal/pulse"
 	"coleader/internal/ring"
 	"coleader/internal/sim"
 	"coleader/internal/stats"
@@ -44,19 +43,18 @@ func E16(seed int64) ([]*stats.Table, error) {
 	return []*stats.Table{sweep, sched}, nil
 }
 
-// e16Run executes one batched flat-bank Alg2 election and returns the
+// e16Run executes one batched Alg2 election and returns the
 // result plus the transition counters.
 func e16Run(n int, schedName string, seed int64) (sim.Result, uint64, uint64, error) {
 	topo, err := ring.Oriented(n)
 	if err != nil {
 		return sim.Result{}, 0, 0, err
 	}
-	bank, err := core.NewFlatAlg2(topo, ring.ConsecutiveIDs(n))
+	ms, err := core.Alg2Machines(topo, ring.ConsecutiveIDs(n))
 	if err != nil {
 		return sim.Result{}, 0, 0, err
 	}
-	s, err := sim.NewFlat[pulse.Pulse](topo, bank, sim.Stock(seed)[schedName],
-		sim.WithBatching())
+	s, err := sim.New(topo, ms, sim.Stock(seed)[schedName], sim.WithBatching())
 	if err != nil {
 		return sim.Result{}, 0, 0, err
 	}

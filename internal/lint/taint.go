@@ -41,9 +41,9 @@ package lint
 //     dependency reports its own sinks when its turn comes, never twice).
 //
 // The seed set is deliberately exactly the pulse-typed parameters. In
-// particular the count parameter of the batch interfaces —
-// node.BatchMachine.OnPulses(p, k, e) and its flat twin — is a plain
-// uint64 and never seeds: a run length is arrival multiplicity, the one
+// particular the count parameter of the batch interface —
+// node.BatchMachine.OnPulses(p, k, e) — is a plain uint64 and never
+// seeds: a run length is arrival multiplicity, the one
 // quantity a content-oblivious channel legitimately conveys (k queued
 // pulses ARE the integer k), so branching on it is as model-legal as
 // branching on the port. The pulse-typed port parameter p doesn't seed

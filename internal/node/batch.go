@@ -61,14 +61,3 @@ type BatchMachine interface {
 	// OnPulses consumes between 1 and k of the pulses queued on port p.
 	OnPulses(p pulse.Port, k uint64, e BatchEmitter) uint64
 }
-
-// FlatBatchMachine is the struct-of-arrays twin of BatchMachine: a
-// FlatPulseMachine bank whose slots can consume pulse runs. The
-// OnPulses contract is BatchMachine's, applied to slot k.
-type FlatBatchMachine interface {
-	FlatPulseMachine
-
-	// OnPulses consumes between 1 and n of the pulses queued on port p
-	// of slot k.
-	OnPulses(k int, p pulse.Port, n uint64, e BatchEmitter) uint64
-}

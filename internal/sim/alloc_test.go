@@ -5,37 +5,37 @@ import (
 	"testing"
 
 	"coleader/internal/core"
-	"coleader/internal/pulse"
+	"coleader/internal/node"
 	"coleader/internal/ring"
 	"coleader/internal/sim"
 )
 
 // TestRunAllocsWithoutObserver asserts the hot path stays allocation-free
-// when no observer is attached, for pointer machines and flat banks
-// alike: a full n=64 Algorithm 2 election delivers 8256 pulses, so the
-// bound below (1000 allocations for construction plus the entire run)
-// can only hold if the per-delivery cost is zero — Event records,
-// per-step deliverable slices, or queue-tail reslicing would each blow
-// through it by an order of magnitude.
+// when no observer is attached, for pointer machines and for machines
+// whose state round-trips through its flat snapshot on every transition
+// (flatState) alike: a full n=64 Algorithm 2 election delivers 8256
+// pulses, so the bound below (1000 allocations for construction plus the
+// entire run) can only hold if the per-delivery cost is zero — Event
+// records, per-step deliverable slices, queue-tail reslicing or a
+// snapshot buffer per transition would each blow through it by an order
+// of magnitude.
 func TestRunAllocsWithoutObserver(t *testing.T) {
 	const n = 64
 	cases := []struct {
 		name  string
-		build func(ring.Topology, []uint64) (*sim.Sim[pulse.Pulse], error)
+		build func(ring.Topology, []uint64) ([]node.PulseMachine, error)
 	}{
-		{"pointer", func(topo ring.Topology, ids []uint64) (*sim.Sim[pulse.Pulse], error) {
+		{"pointer", core.Alg2Machines},
+		{"flat", func(topo ring.Topology, ids []uint64) ([]node.PulseMachine, error) {
 			ms, err := core.Alg2Machines(topo, ids)
 			if err != nil {
 				return nil, err
 			}
-			return sim.New(topo, ms, sim.Canonical{})
-		}},
-		{"flat", func(topo ring.Topology, ids []uint64) (*sim.Sim[pulse.Pulse], error) {
-			bank, err := core.NewFlatAlg2(topo, ids)
+			twins, err := core.Alg2Machines(topo, ids)
 			if err != nil {
 				return nil, err
 			}
-			return sim.NewFlat(topo, bank, sim.Canonical{})
+			return flatten(ms, twins), nil
 		}},
 	}
 	for _, tc := range cases {
@@ -46,7 +46,11 @@ func TestRunAllocsWithoutObserver(t *testing.T) {
 					t.Fatal(err)
 				}
 				ids := ring.ConsecutiveIDs(n)
-				s, err := tc.build(topo, ids)
+				ms, err := tc.build(topo, ids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := sim.New(topo, ms, sim.Canonical{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -71,10 +75,10 @@ func TestRunAllocsWithoutObserver(t *testing.T) {
 // TestBatchedBytesPerNode pins the batched engine's construction cost:
 // the heap growth across sim.New on a 2^16-node Algorithm 1 ring with
 // the Heaviest scheduler and batching, per node. The budget covers the
-// two channel FIFOs, the wiring caches, the deliverable bitset, the
-// Heaviest heap's index and the batch machine table; a per-channel
-// field the batched path never reads (a cached endpoint, an eagerly
-// allocated oldest-heap mark) pushes it over.
+// two channel FIFOs, the wiring caches, the deliverable bitset and the
+// Heaviest heap's index; a per-channel or per-node field the batched
+// path never reads (a cached endpoint, an eagerly allocated oldest-heap
+// mark, a second machine table) pushes it over.
 func TestBatchedBytesPerNode(t *testing.T) {
 	const n = 1 << 16
 	topo, err := ring.Oriented(n)
@@ -96,7 +100,7 @@ func TestBatchedBytesPerNode(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(s)
 	perNode := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
-	if perNode > 130 {
-		t.Fatalf("sim.New grew the heap by %.1f B/node, want <= 130", perNode)
+	if perNode > 115 {
+		t.Fatalf("sim.New grew the heap by %.1f B/node, want <= 115", perNode)
 	}
 }

@@ -35,14 +35,16 @@ import (
 
 // WithBatching enables the pulse-run batch fast path. It is pulse-only
 // by construction (the option applies to Sim[pulse.Pulse]); every
-// machine must implement node.BatchMachine — a flat bank,
-// node.FlatBatchMachine — and the fault plane is rejected (batching is
-// model-exact). Construction fails with ErrBatchUnsupported otherwise.
+// machine must implement node.BatchMachine, and the fault plane is
+// rejected (batching is model-exact). Construction fails with
+// ErrBatchUnsupported otherwise.
 func WithBatching() Option[pulse.Pulse] {
 	return func(s *Sim[pulse.Pulse]) { s.batch = true }
 }
 
-// setupBatch validates and wires the batch fast path after options ran.
+// setupBatch validates the batch fast path after options ran: every
+// machine must implement node.BatchMachine, which is what lets
+// deliverRun assert it without a check.
 func (s *Sim[M]) setupBatch() error {
 	if !s.batch {
 		return nil
@@ -50,34 +52,12 @@ func (s *Sim[M]) setupBatch() error {
 	if s.plane != nil {
 		return fmt.Errorf("%w: the batch fast path is model-exact; fault injection needs the pulse-by-pulse engine", ErrBatchUnsupported)
 	}
-	bms, fbm, err := resolveBatch[M](s.machines, s.flat)
-	if err != nil {
-		return err
+	for k, m := range s.machines {
+		if _, ok := any(m).(node.BatchMachine); !ok {
+			return fmt.Errorf("%w: machine %d (%T) does not implement node.BatchMachine", ErrBatchUnsupported, k, m)
+		}
 	}
-	s.bms, s.fbm = bms, fbm
 	return nil
-}
-
-// resolveBatch resolves the batch-capable view of a machine bank:
-// either every pointer machine implements node.BatchMachine or the flat
-// bank implements node.FlatBatchMachine.
-func resolveBatch[M any](machines []node.Machine[M], flat node.FlatMachine[M]) ([]node.BatchMachine, node.FlatBatchMachine, error) {
-	if flat != nil {
-		fbm, ok := any(flat).(node.FlatBatchMachine)
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: bank %T does not implement node.FlatBatchMachine", ErrBatchUnsupported, flat)
-		}
-		return nil, fbm, nil
-	}
-	bms := make([]node.BatchMachine, len(machines))
-	for k, m := range machines {
-		bm, ok := any(m).(node.BatchMachine)
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: machine %d (%T) does not implement node.BatchMachine", ErrBatchUnsupported, k, m)
-		}
-		bms[k] = bm
-	}
-	return bms, nil, nil
 }
 
 // pendingRun is one buffered counted emission of a batch transition.
@@ -206,17 +186,12 @@ func (s *Sim[M]) deliverRun(c int) error {
 		return fmt.Errorf("sim: deliver to uninitialized node %d", k)
 	case s.termAt[k] != 0:
 		return s.fail(fmt.Errorf("%w: delivery attempted to node %d", ErrPostTerminationSend, k))
-	case !s.mReady(k, p):
+	case !s.machines[k].Ready(p):
 		return fmt.Errorf("sim: deliver on non-ready port %s of node %d", p, k)
 	}
 	avail := s.queues[c].tot
 	s.runEm.buf = s.runEm.buf[:0]
-	var consumed uint64
-	if s.fbm != nil {
-		consumed = s.fbm.OnPulses(k, p, avail, &s.runEm)
-	} else {
-		consumed = s.bms[k].OnPulses(p, avail, &s.runEm)
-	}
+	consumed := any(s.machines[k]).(node.BatchMachine).OnPulses(p, avail, &s.runEm)
 	if consumed == 0 || consumed > avail {
 		return s.fail(fmt.Errorf("sim: batch transition at node %d consumed %d of %d queued pulses", k, consumed, avail))
 	}

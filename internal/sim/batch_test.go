@@ -14,8 +14,8 @@ import (
 	"coleader/internal/sim"
 )
 
-// runBatched executes a batched sequential simulation of inst (pointer
-// or flat bank) under the named stock scheduler and returns its event
+// runBatched executes a batched simulation of inst, on flat or pointer
+// machines, under the named stock scheduler and returns its event
 // stream, Result, and error.
 func runBatched(t *testing.T, inst instance, schedName string, seed int64, flat bool,
 ) ([]sim.Event, sim.Result, error) {
@@ -25,33 +25,13 @@ func runBatched(t *testing.T, inst instance, schedName string, seed int64, flat 
 		t.Fatal(err)
 	}
 	var events []sim.Event
-	obs := sim.WithObserver[pulse.Pulse](sim.ObserverFunc[pulse.Pulse](
-		func(e *sim.Event, _ *sim.Sim[pulse.Pulse]) error {
-			cp := *e
-			cp.Sends = append([]sim.SendRec(nil), e.Sends...)
-			events = append(events, cp)
-			return nil
-		}))
-	sched := sim.Stock(seed)[schedName]
-	var s *sim.Sim[pulse.Pulse]
-	if flat {
-		bank, err := inst.bank()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err = sim.NewFlat(topo, bank, sched, obs, sim.WithBatching())
-		if err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		ms, err := inst.machines()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err = sim.New(topo, ms, sched, obs, sim.WithBatching())
-		if err != nil {
-			t.Fatal(err)
-		}
+	ms, err := inst.build(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sim.New(topo, ms, sim.Stock(seed)[schedName], recordEvents(&events), sim.WithBatching())
+	if err != nil {
+		t.Fatal(err)
 	}
 	res, runErr := s.Run(inst.budget)
 	return events, res, runErr
@@ -75,14 +55,7 @@ func replayExpanded(t *testing.T, inst instance, schedule []sim.Event,
 	var events []sim.Event
 	// The driving scheduler is irrelevant: BatchReferenceRun replays the
 	// recorded schedule itself.
-	s, err := sim.New(topo, ms, sim.Canonical{},
-		sim.WithObserver[pulse.Pulse](sim.ObserverFunc[pulse.Pulse](
-			func(e *sim.Event, _ *sim.Sim[pulse.Pulse]) error {
-				cp := *e
-				cp.Sends = append([]sim.SendRec(nil), e.Sends...)
-				events = append(events, cp)
-				return nil
-			})))
+	s, err := sim.New(topo, ms, sim.Canonical{}, recordEvents(&events))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +98,10 @@ func checkBatchedAgainstReference(t *testing.T, inst instance,
 
 // TestBatchedMatchesExpandedReference is the batched differential on the
 // sequential engine: for every stock scheduler x seed x algorithm, in
-// both machine representations, the batched run's event stream — each
-// batch transition expanded into its consumed pulses — must be
-// event-for-event identical to a plain pulse-by-pulse engine delivering
-// the same runs one pulse at a time, with DeepEqual Results.
+// both machine representations, the batched run's event stream — each batch
+// transition expanded into its consumed pulses — must be event-for-event
+// identical to a plain pulse-by-pulse engine delivering the same runs one
+// pulse at a time, with DeepEqual Results.
 func TestBatchedMatchesExpandedReference(t *testing.T) {
 	for _, inst := range instances() {
 		for schedName := range sim.Stock(1) {
@@ -225,11 +198,11 @@ func TestBatchedCoalescesAtScale(t *testing.T) {
 	pred := core.PredictedAlg2Pulses(n, ring.MaxID(ids))
 	run := func(sched sim.Scheduler) (sim.Result, uint64, uint64) {
 		t.Helper()
-		bank, err := core.NewFlatAlg2(topo, ids)
+		ms, err := core.Alg2Machines(topo, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := sim.NewFlat(topo, bank, sched, sim.WithBatching())
+		s, err := sim.New(topo, ms, sched, sim.WithBatching())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,18 +246,9 @@ func (plainOnly) OnMsg(pulse.Port, pulse.Pulse, node.PulseEmitter) {}
 func (plainOnly) Ready(pulse.Port) bool                            { return true }
 func (plainOnly) Status() node.Status                              { return node.Status{} }
 
-// flatPlainOnly is a FlatPulseMachine bank without node.FlatBatchMachine.
-type flatPlainOnly struct{ n int }
-
-func (b flatPlainOnly) Len() int                                              { return b.n }
-func (b flatPlainOnly) Init(int, node.PulseEmitter)                           {}
-func (b flatPlainOnly) OnMsg(int, pulse.Port, pulse.Pulse, node.PulseEmitter) {}
-func (b flatPlainOnly) Ready(int, pulse.Port) bool                            { return true }
-func (b flatPlainOnly) Status(int) node.Status                                { return node.Status{} }
-
 // TestBatchUnsupported pins the construction-time rejections: machines
-// without the batch interfaces (pointer and flat) and the fault plane
-// all fail with ErrBatchUnsupported.
+// without node.BatchMachine and the fault plane both fail with
+// ErrBatchUnsupported.
 func TestBatchUnsupported(t *testing.T) {
 	topo, err := ring.Oriented(4)
 	if err != nil {
@@ -293,9 +257,6 @@ func TestBatchUnsupported(t *testing.T) {
 	plainMachines := []node.PulseMachine{plainOnly{}, plainOnly{}, plainOnly{}, plainOnly{}}
 	if _, err := sim.New(topo, plainMachines, sim.Canonical{}, sim.WithBatching()); !errors.Is(err, sim.ErrBatchUnsupported) {
 		t.Fatalf("non-BatchMachine pointer bank: got %v, want ErrBatchUnsupported", err)
-	}
-	if _, err := sim.NewFlat(topo, flatPlainOnly{n: 4}, sim.Canonical{}, sim.WithBatching()); !errors.Is(err, sim.ErrBatchUnsupported) {
-		t.Fatalf("non-FlatBatchMachine bank: got %v, want ErrBatchUnsupported", err)
 	}
 
 	ms, err := core.Alg1Machines(topo, ring.ConsecutiveIDs(4))
@@ -339,8 +300,8 @@ func TestBatchedDeliverRejected(t *testing.T) {
 }
 
 // TestBatchedRunAllocs asserts the batch fast path stays allocation-free
-// per run: a full n=64 Algorithm 2 election (8256 pulses) over a flat
-// bank with batching on must fit construction plus the entire run in
+// per run: a full n=64 Algorithm 2 election (8256 pulses) with
+// batching on must fit construction plus the entire run in
 // the same 1000-allocation envelope the plain engine meets — which only
 // holds if batch transitions, counted-run queue operations, and the
 // reusable run emitter allocate nothing as the run progresses.
@@ -352,11 +313,11 @@ func TestBatchedRunAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids := ring.ConsecutiveIDs(n)
-		bank, err := core.NewFlatAlg2(topo, ids)
+		ms, err := core.Alg2Machines(topo, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := sim.NewFlat(topo, bank, sim.Canonical{}, sim.WithBatching())
+		s, err := sim.New(topo, ms, sim.Canonical{}, sim.WithBatching())
 		if err != nil {
 			t.Fatal(err)
 		}

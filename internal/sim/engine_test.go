@@ -14,17 +14,89 @@ import (
 )
 
 // instance is one algorithm/topology configuration exercised by the
-// engine differentials, in both machine representations: a
-// pointer-machine slice (sim.New) and a struct-of-arrays bank
-// (sim.NewFlat). pulses is the paper's exact message complexity for it.
+// engine differentials. pulses is the paper's exact message complexity
+// for it.
 type instance struct {
 	name     string
 	topo     func() (ring.Topology, error)
 	machines func() ([]node.PulseMachine, error)
-	bank     func() (node.FlatPulseMachine, error)
 	pulses   uint64
 	budget   uint64
 }
+
+// build returns a fresh ring of inst's machines: pointer machines as the
+// core constructors return them or, when flat is set, the same machines
+// behind flatState.
+func (inst instance) build(flat bool) ([]node.PulseMachine, error) {
+	ms, err := inst.machines()
+	if err != nil || !flat {
+		return ms, err
+	}
+	twins, err := inst.machines()
+	if err != nil {
+		return nil, err
+	}
+	return flatten(ms, twins), nil
+}
+
+// flatState runs a machine whose state lives between transitions only in
+// its node.Undoable snapshot, the flat byte encoding the exhaustive
+// explorer keeps in its undo arena. Each transition restores the snapshot
+// into the other of two identically built machines, runs the handler
+// there and snapshots the result back, so a mutable field that SnapshotTo
+// or Restore misses goes stale and the run diverges from the pointer
+// machine's.
+type flatState struct {
+	ms   [2]undoMachine
+	cur  int
+	snap []byte
+}
+
+// undoMachine is what flatState needs of a core machine.
+type undoMachine interface {
+	node.BatchMachine
+	node.Undoable
+}
+
+// flatten pairs ms[k] with its identically built twin twins[k].
+func flatten(ms, twins []node.PulseMachine) []node.PulseMachine {
+	out := make([]node.PulseMachine, len(ms))
+	for k := range ms {
+		f := &flatState{ms: [2]undoMachine{ms[k].(undoMachine), twins[k].(undoMachine)}}
+		f.snap = f.ms[0].SnapshotTo(make([]byte, 0, 64))
+		out[k] = f
+	}
+	return out
+}
+
+// next restores the snapshot into the idle twin and makes it current.
+func (f *flatState) next() undoMachine {
+	f.cur = 1 - f.cur
+	f.ms[f.cur].Restore(f.snap)
+	return f.ms[f.cur]
+}
+
+func (f *flatState) save() { f.snap = f.ms[f.cur].SnapshotTo(f.snap[:0]) }
+
+func (f *flatState) Init(e node.PulseEmitter) {
+	f.next().Init(e)
+	f.save()
+}
+
+func (f *flatState) OnMsg(p pulse.Port, m pulse.Pulse, e node.PulseEmitter) {
+	f.next().OnMsg(p, m, e)
+	f.save()
+}
+
+func (f *flatState) OnPulses(p pulse.Port, k uint64, e node.BatchEmitter) uint64 {
+	n := f.next().OnPulses(p, k, e)
+	f.save()
+	return n
+}
+
+func (f *flatState) Ready(p pulse.Port) bool { return f.ms[f.cur].Ready(p) }
+
+func (f *flatState) Status() node.Status { return f.ms[f.cur].Status() }
 
 // orientedInstance builds an Algorithm 1 or 2 instance on an oriented
 // ring carrying ids.
@@ -41,13 +113,6 @@ func orientedInstance(name string, alg int, ids []uint64) instance {
 			}
 			return core.Alg1Machines(t, ids)
 		}
-		inst.bank = func() (node.FlatPulseMachine, error) {
-			t, err := topo()
-			if err != nil {
-				return nil, err
-			}
-			return core.NewFlatAlg1(t, ids)
-		}
 		inst.pulses = core.PredictedAlg1Pulses(n, slices.Max(ids))
 	case 2:
 		inst.machines = func() ([]node.PulseMachine, error) {
@@ -56,13 +121,6 @@ func orientedInstance(name string, alg int, ids []uint64) instance {
 				return nil, err
 			}
 			return core.Alg2Machines(t, ids)
-		}
-		inst.bank = func() (node.FlatPulseMachine, error) {
-			t, err := topo()
-			if err != nil {
-				return nil, err
-			}
-			return core.NewFlatAlg2(t, ids)
 		}
 		inst.pulses = core.PredictedAlg2Pulses(n, slices.Max(ids))
 	default:
@@ -83,16 +141,24 @@ func alg3Instance(name string, flips []bool, ids []uint64, scheme core.IDScheme)
 		machines: func() ([]node.PulseMachine, error) {
 			return core.Alg3Machines(n, ids, scheme)
 		},
-		bank: func() (node.FlatPulseMachine, error) {
-			return core.NewFlatAlg3(n, ids, scheme)
-		},
 		pulses: pulses,
 		budget: 4*pulses + 1024,
 	}
 }
 
+// instances are the engine differentials' shared configurations. The
+// self-ring (n = 1, both ports wired to each other) and two-node rings
+// are legal in the paper's model (Section 2) and exercise the smallest
+// wirings the engine accepts.
 func instances() []instance {
 	return []instance{
+		orientedInstance("alg1/self-ring", 1, []uint64{3}),
+		orientedInstance("alg2/self-ring", 2, []uint64{3}),
+		alg3Instance("alg3/self-ring", []bool{false}, []uint64{3}, core.SchemeSuccessor),
+		alg3Instance("alg3/self-ring-flipped", []bool{true}, []uint64{2}, core.SchemeDoubled),
+		orientedInstance("alg1/two-nodes", 1, []uint64{1, 4}),
+		orientedInstance("alg2/two-nodes", 2, []uint64{5, 2}),
+		alg3Instance("alg3/two-nodes", []bool{true, false}, []uint64{1, 3}, core.SchemeSuccessor),
 		orientedInstance("alg1/dup-ids", 1, []uint64{2, 2, 1, 2}),
 		orientedInstance("alg1/distinct-ids", 1, []uint64{4, 1, 6, 3, 5, 2}),
 		orientedInstance("alg2/oriented", 2, []uint64{3, 1, 4, 2, 5}),
@@ -101,6 +167,18 @@ func instances() []instance {
 		alg3Instance("alg3/all-flipped", []bool{true, true, true, true, true}, []uint64{2, 5, 1, 4, 3}, core.SchemeSuccessor),
 		alg3Instance("alg3/doubled", []bool{false, true, true, false}, []uint64{3, 1, 4, 2}, core.SchemeDoubled),
 	}
+}
+
+// recordEvents is an observer option that appends a deep copy of every
+// event to *events.
+func recordEvents(events *[]sim.Event) sim.Option[pulse.Pulse] {
+	return sim.WithObserver[pulse.Pulse](sim.ObserverFunc[pulse.Pulse](
+		func(e *sim.Event, _ *sim.Sim[pulse.Pulse]) error {
+			cp := *e
+			cp.Sends = append([]sim.SendRec(nil), e.Sends...)
+			*events = append(*events, cp)
+			return nil
+		}))
 }
 
 // compareRuns fails t unless two runs agree exactly: the same error
@@ -128,10 +206,12 @@ func compareRuns(t *testing.T, label string,
 }
 
 // TestFlatMatchesPointerMachines is the representation differential on
-// the sequential engine: for every stock scheduler, a flat
-// struct-of-arrays bank driven through sim.NewFlat must produce an
-// event-for-event identical trace and Result to the pointer-machine
-// slice it mirrors.
+// the sequential engine: for every stock scheduler, machines whose state
+// lives in their flat Undoable snapshot between transitions (flatState)
+// must produce an event-for-event identical trace and Result to the
+// pointer machines themselves. It checks at run time, on every instance
+// and schedule, that SnapshotTo and Restore carry a machine's whole
+// mutable state, which the exhaustive explorer's undo arena relies on.
 func TestFlatMatchesPointerMachines(t *testing.T) {
 	for _, inst := range instances() {
 		for schedName := range sim.Stock(1) {
@@ -141,34 +221,14 @@ func TestFlatMatchesPointerMachines(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					ms, err := inst.build(flat)
+					if err != nil {
+						t.Fatal(err)
+					}
 					var events []sim.Event
-					obs := sim.WithObserver[pulse.Pulse](sim.ObserverFunc[pulse.Pulse](
-						func(e *sim.Event, _ *sim.Sim[pulse.Pulse]) error {
-							cp := *e
-							cp.Sends = append([]sim.SendRec(nil), e.Sends...)
-							events = append(events, cp)
-							return nil
-						}))
-					sched := sim.Stock(5)[schedName]
-					var s *sim.Sim[pulse.Pulse]
-					if flat {
-						bank, err := inst.bank()
-						if err != nil {
-							t.Fatal(err)
-						}
-						s, err = sim.NewFlat(topo, bank, sched, obs)
-						if err != nil {
-							t.Fatal(err)
-						}
-					} else {
-						ms, err := inst.machines()
-						if err != nil {
-							t.Fatal(err)
-						}
-						s, err = sim.New(topo, ms, sched, obs)
-						if err != nil {
-							t.Fatal(err)
-						}
+					s, err := sim.New(topo, ms, sim.Stock(5)[schedName], recordEvents(&events))
+					if err != nil {
+						t.Fatal(err)
 					}
 					res, runErr := s.Run(inst.budget)
 					return events, res, runErr
@@ -188,10 +248,11 @@ var seededSchedulers = map[string]bool{"random": true, "flaky": true, "hashdelay
 // TestScheduleConfluence pins the property the paper prices elections
 // on: a content-oblivious execution is confluent, so every admissible
 // schedule ends in the same configuration. For every stock scheduler
-// (the seeded ones at several seeds), in both machine representations,
-// plain and batched, the run must reach the outcome and pulse totals of
-// the canonical pointer-machine run, and send exactly the paper's
-// predicted number of pulses.
+// (the seeded ones at several seeds), in both machine representations
+// (pointer machines and flatState), plain and batched, the run must
+// reach the outcome and pulse totals of the canonical plain
+// pointer-machine run, and send exactly the paper's predicted number of
+// pulses.
 func TestScheduleConfluence(t *testing.T) {
 	for _, inst := range instances() {
 		ref := runOutcome(t, inst, sim.Canonical{}, false, false)
@@ -245,7 +306,8 @@ func TestScheduleConfluence(t *testing.T) {
 	}
 }
 
-// runOutcome runs inst to completion under sched and returns its Result.
+// runOutcome runs inst, on flat or pointer machines, to completion under
+// sched and returns its Result.
 func runOutcome(t *testing.T, inst instance, sched sim.Scheduler, flat, batched bool) sim.Result {
 	t.Helper()
 	topo, err := inst.topo()
@@ -256,25 +318,13 @@ func runOutcome(t *testing.T, inst instance, sched sim.Scheduler, flat, batched 
 	if batched {
 		opts = append(opts, sim.WithBatching())
 	}
-	var s *sim.Sim[pulse.Pulse]
-	if flat {
-		bank, err := inst.bank()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err = sim.NewFlat(topo, bank, sched, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		ms, err := inst.machines()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err = sim.New(topo, ms, sched, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
+	ms, err := inst.build(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sim.New(topo, ms, sched, opts...)
+	if err != nil {
+		t.Fatal(err)
 	}
 	res, err := s.Run(inst.budget)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"coleader/internal/core"
@@ -75,15 +74,7 @@ func runFaulted(t *testing.T, inst faultInstance, schedName string, seed int64,
 		t.Fatal(err)
 	}
 	var events []sim.Event
-	opts := []sim.Option[pulse.Pulse]{
-		sim.WithObserver[pulse.Pulse](sim.ObserverFunc[pulse.Pulse](
-			func(e *sim.Event, _ *sim.Sim[pulse.Pulse]) error {
-				cp := *e
-				cp.Sends = append([]sim.SendRec(nil), e.Sends...)
-				events = append(events, cp)
-				return nil
-			})),
-	}
+	opts := []sim.Option[pulse.Pulse]{recordEvents(&events)}
 	if plane != nil {
 		opts = append(opts, sim.WithFaultPlane[pulse.Pulse](plane))
 	}
@@ -415,34 +406,6 @@ func TestRestartNonUndoableSkipped(t *testing.T) {
 	}
 	if plane.Fired() == 0 {
 		t.Error("no node fault fired on the inert ring")
-	}
-}
-
-// TestFlatBankRejectsFaultPlane pins the fault×flat contract: restart
-// and corrupt injections snapshot per-node state through node.Undoable,
-// which a struct-of-arrays bank does not expose, so NewFlat must refuse
-// the combination with the structured ErrFaultPlaneUndoable — callers
-// branch on errors.Is, not on prose (DESIGN.md §9).
-func TestFlatBankRejectsFaultPlane(t *testing.T) {
-	topo, err := ring.Oriented(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bank, err := core.NewFlatAlg2(topo, []uint64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plane, err := fault.New(1, fault.Config{Nodes: 4, Classes: fault.AllClasses})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sim.NewFlat[pulse.Pulse](topo, bank, sim.Stock(1)["canonical"],
-		sim.WithFaultPlane[pulse.Pulse](plane))
-	if !errors.Is(err, sim.ErrFaultPlaneUndoable) {
-		t.Fatalf("NewFlat with fault plane: err = %v, want ErrFaultPlaneUndoable", err)
-	}
-	if err == nil || !strings.Contains(err.Error(), "Undoable") {
-		t.Fatalf("error should name the node.Undoable requirement, got %q", err)
 	}
 }
 

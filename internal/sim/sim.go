@@ -53,18 +53,10 @@ var (
 	// ErrMachineFault: a machine reported a protocol fault via Status().Err.
 	ErrMachineFault = errors.New("sim: machine fault")
 
-	// ErrFaultPlaneUndoable: WithFaultPlane was combined with a machine
-	// bank that cannot satisfy it. Restart and corrupt injections
-	// snapshot and restore per-node state through node.Undoable, which
-	// only pointer machines implement; a FlatMachine bank exposes no
-	// per-node snapshot/restore surface, so NewFlat rejects the
-	// combination with this error (see DESIGN.md §9).
-	ErrFaultPlaneUndoable = errors.New("sim: fault plane requires node.Undoable pointer machines")
-
-	// ErrBatchUnsupported: WithBatching was combined with a machine bank
-	// or option it cannot drive: every machine must implement
-	// node.BatchMachine (flat banks: node.FlatBatchMachine), and the
-	// batch fast path is model-exact, so the fault plane is rejected.
+	// ErrBatchUnsupported: WithBatching was combined with a machine or
+	// option it cannot drive: every machine must implement
+	// node.BatchMachine, and the batch fast path is model-exact, so the
+	// fault plane is rejected.
 	ErrBatchUnsupported = errors.New("sim: batching unsupported for this configuration")
 )
 
@@ -128,13 +120,8 @@ type Result struct {
 // then either call Run, or drive manually with InitNode/Deliver for
 // fine-grained schedule control.
 type Sim[M any] struct {
-	topo ring.Topology
-	// The machine bank: exactly one of machines (one heap object per
-	// node) and flat (a struct-of-arrays FlatMachine bank, see NewFlat)
-	// is non-nil; every handler, Ready, and Status access goes through
-	// the m* dispatch helpers.
+	topo     ring.Topology
 	machines []node.Machine[M]
-	flat     node.FlatMachine[M]
 	sched    Scheduler
 	obs      []Observer[M]
 
@@ -192,13 +179,12 @@ type Sim[M any] struct {
 	em      emitter[M]
 	failed  error
 
-	// Batch fast path (WithBatching; pulse machines only). Exactly one
-	// of bms and fbm is non-nil when batch is set; runEm is the reusable
-	// counted-run emitter handed to OnPulses; runs/coalesced feed the
-	// RunsCoalesced accessor and the progress reporter.
+	// Batch fast path (WithBatching; pulse machines only). When batch
+	// is set every machine implements node.BatchMachine (setupBatch
+	// checked); runEm is the reusable counted-run emitter handed to
+	// OnPulses; runs/coalesced feed the RunsCoalesced accessor and the
+	// progress reporter.
 	batch     bool
-	bms       []node.BatchMachine
-	fbm       node.FlatBatchMachine
 	runEm     runEmitter
 	runs      uint64 // batch transitions (OnPulses invocations)
 	coalesced uint64 // batch transitions that consumed more than one pulse
@@ -493,28 +479,31 @@ func checkRingSize(n int) error {
 	return nil
 }
 
-// newSim builds the machine-free core of a simulation: queues, wiring
-// caches, and the incremental deliverable machinery. New and NewFlat
-// attach their machine banks and apply options on top.
-func newSim[M any](t ring.Topology, sched Scheduler) (*Sim[M], error) {
+// New builds a simulation of machines on topology t driven by sched.
+// len(machines) must equal t.N().
+func New[M any](t ring.Topology, machines []node.Machine[M], sched Scheduler, opts ...Option[M]) (*Sim[M], error) {
+	n := t.N()
+	if len(machines) != n {
+		return nil, fmt.Errorf("sim: %d machines for %d nodes", len(machines), n)
+	}
 	if sched == nil {
 		return nil, errors.New("sim: nil scheduler")
 	}
-	n := t.N()
 	if err := checkRingSize(n); err != nil {
 		return nil, err
 	}
 	s := &Sim[M]{
-		topo:    t,
-		sched:   sched,
-		queues:  make([]fifo[M], 2*n),
-		inited:  make([]bool, n),
-		termAt:  make([]uint64, n),
-		chanDir: make([]pulse.Direction, 2*n),
-		outDir:  make([]pulse.Direction, 2*n),
-		peerCh:  make([]int32, 2*n),
-		deliv:   make(bitset, (2*n+63)/64),
-		crashed: make([]bool, n),
+		topo:     t,
+		machines: machines,
+		sched:    sched,
+		queues:   make([]fifo[M], 2*n),
+		inited:   make([]bool, n),
+		termAt:   make([]uint64, n),
+		chanDir:  make([]pulse.Direction, 2*n),
+		outDir:   make([]pulse.Direction, 2*n),
+		peerCh:   make([]int32, 2*n),
+		deliv:    make(bitset, (2*n+63)/64),
+		crashed:  make([]bool, n),
 	}
 	for k := 0; k < n; k++ {
 		for _, p := range []pulse.Port{pulse.Port0, pulse.Port1} {
@@ -531,32 +520,12 @@ func newSim[M any](t ring.Topology, sched Scheduler) (*Sim[M], error) {
 		}
 	}
 	s.em.s = s
-	return s, nil
-}
-
-// finish applies options and wires the scheduler's aux heaps; the bank
-// must already be attached (options and hints may consult it).
-func (s *Sim[M]) finish(opts []Option[M]) {
 	for _, o := range opts {
 		o(s)
 	}
 	if !s.rescan {
 		s.installHeapHints()
 	}
-}
-
-// New builds a simulation of machines on topology t driven by sched.
-// len(machines) must equal t.N().
-func New[M any](t ring.Topology, machines []node.Machine[M], sched Scheduler, opts ...Option[M]) (*Sim[M], error) {
-	if len(machines) != t.N() {
-		return nil, fmt.Errorf("sim: %d machines for %d nodes", len(machines), t.N())
-	}
-	s, err := newSim[M](t, sched)
-	if err != nil {
-		return nil, err
-	}
-	s.machines = machines
-	s.finish(opts)
 	if err := s.setupBatch(); err != nil {
 		return nil, err
 	}
@@ -564,69 +533,6 @@ func New[M any](t ring.Topology, machines []node.Machine[M], sched Scheduler, op
 		s.captureInitialSnapshots()
 	}
 	return s, nil
-}
-
-// NewFlat builds a simulation whose node state lives in a FlatMachine
-// bank (struct-of-arrays) instead of one heap object per node: the
-// layout for very large rings. Semantics are identical to New — the
-// flat differential tests assert trace-for-trace equality against the
-// pointer machines — except that WithFaultPlane is rejected: restart
-// and corrupt injections snapshot machines through node.Undoable, which
-// a flat bank does not expose.
-func NewFlat[M any](t ring.Topology, bank node.FlatMachine[M], sched Scheduler, opts ...Option[M]) (*Sim[M], error) {
-	if bank == nil {
-		return nil, errors.New("sim: nil machine bank")
-	}
-	if bank.Len() != t.N() {
-		return nil, fmt.Errorf("sim: bank of %d slots for %d nodes", bank.Len(), t.N())
-	}
-	s, err := newSim[M](t, sched)
-	if err != nil {
-		return nil, err
-	}
-	s.flat = bank
-	s.finish(opts)
-	if err := s.setupBatch(); err != nil {
-		return nil, err
-	}
-	if s.plane != nil {
-		return nil, fmt.Errorf("%w: FlatMachine banks expose no per-node snapshot/restore surface for restart and corrupt injections", ErrFaultPlaneUndoable)
-	}
-	return s, nil
-}
-
-// mInit dispatches a node's Init through whichever bank is attached.
-func (s *Sim[M]) mInit(k int, e node.Emitter[M]) {
-	if s.flat != nil {
-		s.flat.Init(k, e)
-		return
-	}
-	s.machines[k].Init(e)
-}
-
-// mOnMsg dispatches a delivery through whichever bank is attached.
-func (s *Sim[M]) mOnMsg(k int, p pulse.Port, m M, e node.Emitter[M]) {
-	if s.flat != nil {
-		s.flat.OnMsg(k, p, m, e)
-		return
-	}
-	s.machines[k].OnMsg(p, m, e)
-}
-
-// mReady dispatches a Ready query through whichever bank is attached.
-func (s *Sim[M]) mReady(k int, p pulse.Port) bool {
-	if s.flat != nil {
-		return s.flat.Ready(k, p)
-	}
-	return s.machines[k].Ready(p)
-}
-
-// mStatus dispatches a Status query through whichever bank is attached.
-func (s *Sim[M]) mStatus(k int) node.Status {
-	if s.flat != nil {
-		return s.flat.Status(k)
-	}
-	return s.machines[k].Status()
 }
 
 func chanID(k int, p pulse.Port) int { return 2*k + int(p) }
@@ -730,7 +636,7 @@ func (s *Sim[M]) enqueue(c int, msg M, dir pulse.Direction) {
 func (s *Sim[M]) refreshChan(c int) {
 	k := ChanNode(c)
 	was := s.deliv.get(c)
-	if s.queues[c].n > 0 && s.inited[k] && s.termAt[k] == 0 && !s.crashed[k] && s.mReady(k, ChanPort(c)) {
+	if s.queues[c].n > 0 && s.inited[k] && s.termAt[k] == 0 && !s.crashed[k] && s.machines[k].Ready(ChanPort(c)) {
 		if !was {
 			s.deliv.set(c)
 			s.delivCount++
@@ -749,7 +655,7 @@ func (s *Sim[M]) refreshChan(c int) {
 // up to date with node k's post-handler state, and notifies observers.
 // ev is nil exactly when no observer is attached.
 func (s *Sim[M]) afterHandler(k int, ev *Event) error {
-	st := s.mStatus(k)
+	st := s.machines[k].Status()
 	if st.Err != nil {
 		return fmt.Errorf("%w: node %d: %v", ErrMachineFault, k, st.Err)
 	}
@@ -795,7 +701,7 @@ func (s *Sim[M]) InitNode(k int) error {
 		ev = &Event{Kind: EvInit, Step: s.step, Node: k}
 	}
 	s.em.from = k
-	s.mInit(k, &s.em)
+	s.machines[k].Init(&s.em)
 	if err := s.flushSends(k, ev); err != nil {
 		return s.fail(err)
 	}
@@ -830,7 +736,7 @@ func (s *Sim[M]) deliverableRescan(dst []int) []int {
 		if !s.inited[k] || s.termAt[k] != 0 || s.crashed[k] {
 			continue
 		}
-		if !s.mReady(k, ChanPort(c)) {
+		if !s.machines[k].Ready(ChanPort(c)) {
 			continue
 		}
 		dst = append(dst, c)
@@ -872,7 +778,7 @@ func (s *Sim[M]) Deliver(c int) error {
 		return s.fail(fmt.Errorf("%w: delivery attempted to node %d", ErrPostTerminationSend, k))
 	case s.crashed[k]:
 		return fmt.Errorf("sim: deliver to crashed node %d", k)
-	case !s.mReady(k, p):
+	case !s.machines[k].Ready(p):
 		return fmt.Errorf("sim: deliver on non-ready port %s of node %d", p, k)
 	}
 	head := s.queues[c].pop()
@@ -883,7 +789,7 @@ func (s *Sim[M]) Deliver(c int) error {
 		ev = &Event{Kind: EvDeliver, Step: s.step, Node: k, Port: p, Dir: s.chanDir[c]}
 	}
 	s.em.from = k
-	s.mOnMsg(k, p, head.msg, &s.em)
+	s.machines[k].OnMsg(p, head.msg, &s.em)
 	if err := s.flushSends(k, ev); err != nil {
 		return s.fail(err)
 	}
@@ -913,16 +819,7 @@ func (s *Sim[M]) Quiescent() bool {
 }
 
 // Machine returns node k's machine for introspection by observers/tests.
-// On a flat-backed simulation it returns a node.Slot adapter over the
-// bank, so introspection code works unchanged (type assertions against
-// concrete pointer machines do not — assert node.Slot and go through
-// the bank instead).
-func (s *Sim[M]) Machine(k int) node.Machine[M] {
-	if s.flat != nil {
-		return node.Slot[M]{Bank: s.flat, K: k}
-	}
-	return s.machines[k]
-}
+func (s *Sim[M]) Machine(k int) node.Machine[M] { return s.machines[k] }
 
 // Topology returns the simulated ring.
 func (s *Sim[M]) Topology() ring.Topology { return s.topo }
@@ -1028,7 +925,7 @@ func (s *Sim[M]) Result() Result {
 	}
 	r.TerminationOrder = append(r.TerminationOrder, s.ordTerm...)
 	for k := 0; k < n; k++ {
-		st := s.mStatus(k)
+		st := s.machines[k].Status()
 		r.Statuses[k] = st
 		if st.State == node.StateLeader {
 			r.Leaders = append(r.Leaders, k)
