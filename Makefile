@@ -93,7 +93,8 @@ race:
 	$(GO) test -race ./...
 
 # bench runs the root-package simulator benchmarks (bench_test.go) and
-# records the parsed results (time/op, allocs/op, custom metrics such as
+# the checker's clone-engine baseline (internal/check), and records the
+# parsed results (time/op, allocs/op, custom metrics such as
 # pulses/op) into BENCH_sim.json under BENCH_LABEL, replacing any
 # existing entry with that label. Override for quick CI runs:
 #   make bench BENCHTIME=100ms BENCH_LABEL=ci
@@ -101,9 +102,9 @@ BENCHTIME ?= 1x
 BENCH_LABEL ?= post
 BENCH_NOTE ?= benchtime $(BENCHTIME)
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -timeout 40m . \
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -timeout 40m . ./internal/check \
 		| tee .bench-out.txt
-	@grep -q '^PASS' .bench-out.txt  # tee masks go test's exit; a killed run must not record
+	@! grep -q '^FAIL' .bench-out.txt && grep -q '^PASS' .bench-out.txt  # tee masks go test's exit; a killed run must not record
 	$(GO) run ./cmd/benchjson -in .bench-out.txt -out BENCH_sim.json \
 		-label "$(BENCH_LABEL)" -note "$(BENCH_NOTE)"
 	@rm -f .bench-out.txt
@@ -187,3 +188,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAlg3Election -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzChunkAssembler -fuzztime=10s ./internal/defective
 	$(GO) test -run='^$$' -fuzz=FuzzFrameCodec -fuzztime=10s ./internal/defective
+	$(GO) test -run='^$$' -fuzz=FuzzBatchedMatchesExpanded -fuzztime=10s ./internal/sim

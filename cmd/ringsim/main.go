@@ -10,6 +10,7 @@
 //	ringsim -algo alg2 -ids 1,2,3 -live
 //	ringsim -algo alg1 -ids 4,9,2,7 -faults corrupt -fault-budget 2
 //	ringsim -algo alg1 -n 1048576 -idgen geometric -batch -sched heaviest -seed 3
+//	ringsim -algo alg1 -n 100000 -idgen geometric -batch -sched heaviest -faults corrupt -fault-budget 4
 //	ringsim -algo alg2 -n 1000000 -idgen consecutive -batch -sched heaviest
 package main
 
@@ -61,41 +62,33 @@ func run() error {
 	idgen := flag.String("idgen", "consecutive", "ID generation for scale-mode runs without -ids: consecutive | geometric | alg4")
 	flag.Parse()
 
+	if err := checkModes(*batch, *liveRun, *doTrace || *diagram, *faults != "", *flipsFlag != "", *heal != ""); err != nil {
+		return err
+	}
+	var fs *faultSpec
+	if *faults != "" {
+		fs = &faultSpec{classes: *faults, seed: *faultSeed, budget: *faultBudget}
+		if fs.seed == 0 {
+			fs.seed = *seed
+		}
+		switch *faultTrigger {
+		case "local":
+			fs.trigger = fault.TriggerLocal
+		case "window":
+			fs.trigger = fault.TriggerWindow
+		default:
+			return fmt.Errorf("unknown -fault-trigger %q (want local or window)", *faultTrigger)
+		}
+	}
+
 	// -batch selects scale mode: the configuration that reaches
 	// million-node rings, with the run coalescing measured in
 	// EXPERIMENTS.md E16.
 	if *batch {
-		if *liveRun || *doTrace || *diagram || *faults != "" || *flipsFlag != "" {
-			return fmt.Errorf("scale mode (-batch) does not combine with -live/-trace/-diagram/-faults/-flips")
-		}
-		return runScale(*algo, *idsFlag, *idgen, *n, *c, *sched, *seed)
+		return runScale(*algo, *idsFlag, *idgen, *n, *c, *sched, *seed, fs)
 	}
-
-	if *faults != "" {
-		if *doTrace || *diagram {
-			return fmt.Errorf("-faults does not combine with -trace/-diagram")
-		}
-		fseed := *faultSeed
-		if fseed == 0 {
-			fseed = *seed
-		}
-		var trig fault.TriggerMode
-		switch *faultTrigger {
-		case "local":
-			trig = fault.TriggerLocal
-		case "window":
-			trig = fault.TriggerWindow
-		default:
-			return fmt.Errorf("unknown -fault-trigger %q (want local or window)", *faultTrigger)
-		}
-		if *heal != "" && !*liveRun {
-			return fmt.Errorf("-heal requires -live (the simulator has no goroutines to supervise)")
-		}
-		return runFaulted(*algo, *idsFlag, *flipsFlag, *sched, *seed,
-			*faults, fseed, *faultBudget, trig, *liveRun, *heal)
-	}
-	if *heal != "" {
-		return fmt.Errorf("-heal requires -faults (there is nothing to crash without a fault plane)")
+	if fs != nil {
+		return runFaulted(*algo, *idsFlag, *flipsFlag, *sched, *seed, *fs, *liveRun, *heal)
 	}
 
 	opts := []coleader.Option{
@@ -115,9 +108,6 @@ func run() error {
 	}
 
 	if *doTrace || *diagram {
-		if *liveRun {
-			return fmt.Errorf("-trace/-diagram require the deterministic simulator (drop -live)")
-		}
 		return runTraced(*algo, *idsFlag, flips, *sched, *seed, *diagram, *jsonOut)
 	}
 
@@ -151,6 +141,65 @@ func run() error {
 	}
 	report(res)
 	return nil
+}
+
+// checkModes rejects flag combinations whose run modes exclude each
+// other. trace stands for -trace or -diagram, and the others for -batch,
+// -live, -faults, -flips and -heal being set. Scale mode (-batch) takes
+// a fault plane, but no per-event output, live runtime or port flips.
+func checkModes(batch, live, trace, faults, flips, heal bool) error {
+	switch {
+	case batch && (live || trace || flips):
+		return errors.New("scale mode (-batch) does not combine with -live/-trace/-diagram/-flips")
+	case faults && trace:
+		return errors.New("-faults does not combine with -trace/-diagram")
+	case heal && !faults:
+		return errors.New("-heal requires -faults (there is nothing to crash without a fault plane)")
+	case heal && !live:
+		return errors.New("-heal requires -live (the simulator has no goroutines to supervise)")
+	case trace && live:
+		return errors.New("-trace/-diagram require the deterministic simulator (drop -live)")
+	}
+	return nil
+}
+
+// faultSpec is what the -faults, -fault-seed, -fault-budget and
+// -fault-trigger flags ask for.
+type faultSpec struct {
+	classes string
+	seed    int64
+	budget  int
+	trigger fault.TriggerMode
+}
+
+// plane builds the seeded fault plane fs describes for an n-node ring
+// and prints its header line.
+func (fs faultSpec) plane(n int) (*fault.Plane, error) {
+	classes, err := fault.ParseSet(fs.classes)
+	if err != nil {
+		return nil, err
+	}
+	plane, err := fault.New(fs.seed, fault.Config{
+		Nodes:   n,
+		Classes: classes,
+		Budget:  fs.budget,
+		Trigger: fs.trigger,
+	})
+	if err != nil {
+		return nil, err
+	}
+	trigName := "local"
+	if fs.trigger == fault.TriggerWindow {
+		trigName = "window"
+	}
+	fmt.Printf("fault plane: classes=%s budget=%d seed=%d trigger=%s\n", classes, fs.budget, fs.seed, trigName)
+	return plane, nil
+}
+
+// printInjections prints the plane's injection log after a run.
+func printInjections(plane *fault.Plane) {
+	fmt.Printf("injections: %d scheduled, %d fired\n", len(plane.Log()), plane.Fired())
+	fmt.Print(fault.FormatLog(plane.Log()))
 }
 
 func parseIDs(s string) ([]uint64, error) {
@@ -260,12 +309,7 @@ func buildRing(algo, idsFlag string, flips []bool) (ring.Topology, []node.PulseM
 // the command still exits 0. Simulator runs are fully deterministic in
 // (-seed, -fault-seed, -faults, -fault-budget); -live runs are not.
 func runFaulted(algo, idsFlag, flipsFlag, schedName string, seed int64,
-	faultSpec string, faultSeed int64, budget int, trig fault.TriggerMode,
-	liveRun bool, heal string) error {
-	classes, err := fault.ParseSet(faultSpec)
-	if err != nil {
-		return err
-	}
+	fs faultSpec, liveRun bool, heal string) error {
 	flips, err := parseFlips(flipsFlag)
 	if err != nil {
 		return err
@@ -274,21 +318,10 @@ func runFaulted(algo, idsFlag, flipsFlag, schedName string, seed int64,
 	if err != nil {
 		return err
 	}
-	plane, err := fault.New(faultSeed, fault.Config{
-		Nodes:   topo.N(),
-		Classes: classes,
-		Budget:  budget,
-		Trigger: trig,
-	})
+	plane, err := fs.plane(topo.N())
 	if err != nil {
 		return err
 	}
-
-	trigName := "local"
-	if trig == fault.TriggerWindow {
-		trigName = "window"
-	}
-	fmt.Printf("fault plane: classes=%s budget=%d seed=%d trigger=%s\n", classes, budget, faultSeed, trigName)
 	var (
 		sent, sentCW, sentCCW uint64
 		leader                int
@@ -344,8 +377,7 @@ func runFaulted(algo, idsFlag, flipsFlag, schedName string, seed int64,
 	}
 	fmt.Printf("pulses: %d total (%d cw, %d ccw)  [fault-free run predicts %d]\n",
 		sent, sentCW, sentCCW, predicted)
-	fmt.Printf("injections: %d scheduled, %d fired\n", len(plane.Log()), plane.Fired())
-	fmt.Print(fault.FormatLog(plane.Log()))
+	printInjections(plane)
 	return nil
 }
 

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 
 	"coleader/internal/core"
+	"coleader/internal/fault"
 	"coleader/internal/node"
+	"coleader/internal/pulse"
 	"coleader/internal/ring"
 	"coleader/internal/sim"
 )
@@ -13,9 +15,11 @@ import (
 // runScale executes one batched election at scale: it coalesces pulse
 // runs into O(1) transitions and, with -sched heaviest, covers
 // 10^6-10^7 node rings on a single core. IDs come from -ids for small
-// runs or from a generator for large ones.
+// runs or from a generator for large ones. With fs set the run carries a
+// fault plane; as in runFaulted, a run that breaks is reported as its
+// outcome, followed by the injection log.
 func runScale(algo, idsFlag, idgen string, n int, c float64,
-	schedName string, seed int64) error {
+	schedName string, seed int64, fs *faultSpec) error {
 	var ids []uint64
 	if idsFlag != "" {
 		parsed, err := parseIDs(idsFlag)
@@ -79,7 +83,15 @@ func runScale(algo, idsFlag, idgen string, n int, c float64,
 	if !ok {
 		return fmt.Errorf("unknown scheduler %q", schedName)
 	}
-	s, err := sim.New(topo, ms, sched, sim.WithBatching())
+	opts := []sim.Option[pulse.Pulse]{sim.WithBatching()}
+	var plane *fault.Plane
+	if fs != nil {
+		if plane, err = fs.plane(n); err != nil {
+			return err
+		}
+		opts = append(opts, sim.WithFaultPlane[pulse.Pulse](plane))
+	}
+	s, err := sim.New(topo, ms, sched, opts...)
 	if err != nil {
 		return err
 	}
@@ -89,12 +101,14 @@ func runScale(algo, idsFlag, idgen string, n int, c float64,
 	res, runErr := s.Run(4*predicted + 1024)
 	stop()
 	transitions, multi := s.RunsCoalesced()
-	if runErr != nil {
+	switch {
+	case runErr != nil && plane == nil:
 		return runErr
-	}
-	if res.Leader >= 0 {
+	case runErr != nil:
+		fmt.Printf("outcome: %v\n", runErr)
+	case res.Leader >= 0:
 		fmt.Printf("leader: node %d (ID %d)\n", res.Leader, ids[res.Leader])
-	} else {
+	default:
 		fmt.Printf("leader: none unique (%d nodes share the maximum ID)\n", len(res.Leaders))
 	}
 	fmt.Printf("pulses: %d total (%d cw, %d ccw)  [paper predicts %d]\n",
@@ -107,6 +121,9 @@ func runScale(algo, idsFlag, idgen string, n int, c float64,
 	}
 	fmt.Printf("batch: %d transitions (%d multi-pulse) delivered %d pulses — %.1fx coalescing\n",
 		transitions, multi, res.Delivered, factor)
+	if plane != nil {
+		printInjections(plane)
+	}
 	return nil
 }
 

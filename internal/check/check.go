@@ -69,10 +69,11 @@ const (
 	// from an undo log when backtracking.
 	EngineUndo Engine = iota
 
-	// EngineClone deep-copies the full machine slice per branch: the
+	// engineClone deep-copies the full machine slice per branch: the
 	// reference implementation, kept for differential testing and as the
-	// benchmark baseline. Sequential only (Workers must be 1).
-	EngineClone
+	// benchmark baseline, so only tests can select it (export_test.go).
+	// Sequential only (Workers must be 1).
+	engineClone
 )
 
 // Config describes one exhaustive exploration.
@@ -215,14 +216,14 @@ func exhaustive(cfg Config) (FaultReport, error) {
 			cfg.MaxStates = 1 << 22
 		}
 	}
-	if cfg.Engine > EngineClone {
+	if cfg.Engine > engineClone {
 		return FaultReport{}, fmt.Errorf("check: unknown engine %d", cfg.Engine)
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
 	if cfg.Workers > 1 {
-		if cfg.Engine == EngineClone {
+		if cfg.Engine == engineClone {
 			return FaultReport{}, errors.New("check: the clone engine is sequential-only (set Workers to 1)")
 		}
 		return runParallel(cfg)
@@ -241,7 +242,7 @@ func runSequential(cfg Config) (FaultReport, error) {
 	if err != nil {
 		return FaultReport{}, err
 	}
-	if cfg.Engine == EngineClone {
+	if cfg.Engine == engineClone {
 		ex := &cloneExplorer{cfg: cfg, memo: memo, steps: prefix}
 		err := ex.dfs(root, 0)
 		return ex.rep, err

@@ -67,8 +67,9 @@ func (a *Alg2) OnPulses(p pulse.Port, k uint64, e node.BatchEmitter) uint64 {
 		return 1
 	}
 	if p == a.cwPort.Opposite() { // clockwise pulses: Algorithm 1 over CW
-		if a.rhoCW+1 == a.id || (a.rhoCW >= a.id && a.sigCCW == 0) {
+		if a.rhoCW+1 == a.id || (a.rhoCW >= a.id && a.sigCCW == 0) || a.rhoCCW > a.rhoCW {
 			// The ID crossing, or a state where after()'s line 9-10 guard
+			// or (in a corrupted state, rho_ccw past rho_cw) line 18
 			// would fire on the first pulse: single-step it.
 			a.OnMsg(p, pulse.Pulse{}, e)
 			return 1
@@ -83,9 +84,12 @@ func (a *Alg2) OnPulses(p pulse.Port, k uint64, e node.BatchEmitter) uint64 {
 		e.SendRun(a.cwPort, m)
 		return m
 	}
-	// Counterclockwise pulses.
-	if a.rhoCW < a.id {
-		a.OnMsg(p, pulse.Pulse{}, e) // records the Ready-violation fault
+	// Counterclockwise pulses. Fault-free runs reach them only with
+	// rho_cw >= ID, sigma_ccw > 0 and rho_ccw <= rho_cw; anything else is
+	// the Ready-violation fault or a corrupted state in which a guard
+	// fires on the first pulse, so it takes the OnMsg path.
+	if a.rhoCW < a.id || a.sigCCW == 0 || a.rhoCCW > a.rhoCW {
+		a.OnMsg(p, pulse.Pulse{}, e)
 		return 1
 	}
 	if a.termSent {
@@ -114,7 +118,7 @@ func (a *Alg2) OnPulses(p pulse.Port, k uint64, e node.BatchEmitter) uint64 {
 	if d := a.rhoCW - a.rhoCCW; d < m {
 		m = d
 	}
-	if m == 0 || a.sigCCW == 0 {
+	if m == 0 {
 		a.OnMsg(p, pulse.Pulse{}, e)
 		return 1
 	}

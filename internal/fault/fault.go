@@ -466,21 +466,21 @@ func (p *Plane) indexSchedule() {
 	}
 }
 
-// fire pops the head of pending if it is armed at this event — its trigger
-// equals the entity's local count (TriggerLocal), or the ring-wide delivery
-// count has reached it (TriggerWindow) — records the firing, and returns
-// the class (0 otherwise).
+// fire pops the head of pending if it is armed at this event — the
+// entity's local count (TriggerLocal) or the ring-wide delivery count
+// (TriggerWindow) has reached its trigger — records the firing, and
+// returns the class (0 otherwise). Counters advance one event at a time
+// while anything is pending on them, so a local trigger fires exactly
+// at the event whose count equals it.
 func (p *Plane) fire(pending *[]int, count, step uint64) (Class, int) {
 	list := *pending
 	if len(list) == 0 {
 		return 0, -1
 	}
-	trig := p.log[list[0]].Trigger
 	if p.cfg.Trigger == TriggerWindow {
-		if trig > p.globalDeliv.Load() {
-			return 0, -1
-		}
-	} else if trig != count {
+		count = p.globalDeliv.Load()
+	}
+	if p.log[list[0]].Trigger > count {
 		return 0, -1
 	}
 	i := list[0]
@@ -490,31 +490,52 @@ func (p *Plane) fire(pending *[]int, count, step uint64) (Class, int) {
 	return p.log[i].Class, i
 }
 
-// OnSend advances channel c's send counter and returns Loss, Dup, or 0 for
-// the pulse being placed on c. step tags the log entry (pass 0 when there
-// is no global step, as on the live runtime).
-func (p *Plane) OnSend(step uint64, c int) Class {
-	p.sendCount[c]++
+// Quiet reports that no injection is pending on anything one delivery
+// from channel c touches: c's deliveries, the handlers of its receiving
+// node, and the sends on out0 and out1, the channels that node sends on.
+// Under TriggerWindow any pending injection counts. While Quiet holds, a
+// run of such deliveries fires nothing, so a caller may account it with
+// one call per hook, passing the run's counts as n.
+func (p *Plane) Quiet(c, out0, out1 int) bool {
+	if p.cfg.Trigger == TriggerWindow {
+		for _, in := range p.log {
+			if !in.Fired {
+				return false
+			}
+		}
+		return true
+	}
+	return len(p.delivPending[c])+len(p.nodePending[c/2])+len(p.sendPending[out0])+len(p.sendPending[out1]) == 0
+}
+
+// OnSend advances channel c's send counter by n pulses (n > 1 only while
+// Quiet holds for the sender) and returns Loss, Dup, or 0 for the pulse
+// being placed on c. step tags the log entry (pass 0 when there is no
+// global step, as on the live runtime).
+func (p *Plane) OnSend(step uint64, c int, n uint64) Class {
+	p.sendCount[c] += n
 	cl, _ := p.fire(&p.sendPending[c], p.sendCount[c], step)
 	return cl
 }
 
 // OnDeliver advances channel c's delivery counter (and, under
-// TriggerWindow, the ring-wide one) and returns Spurious if a pulse must
-// be injected onto c around this delivery, else 0.
-func (p *Plane) OnDeliver(step uint64, c int) Class {
+// TriggerWindow, the ring-wide one) by n deliveries (n > 1 only while
+// Quiet holds) and returns Spurious if a pulse must be injected onto c
+// around this delivery, else 0.
+func (p *Plane) OnDeliver(step uint64, c int, n uint64) Class {
 	if p.cfg.Trigger == TriggerWindow {
-		p.globalDeliv.Add(1)
+		p.globalDeliv.Add(n)
 	}
-	p.delivCount[c]++
+	p.delivCount[c] += n
 	cl, _ := p.fire(&p.delivPending[c], p.delivCount[c], step)
 	return cl
 }
 
-// OnHandler advances node k's handler counter (Init is invocation 1) and
-// returns Crash, Restart, Corrupt, or 0.
-func (p *Plane) OnHandler(step uint64, k int) Class {
-	p.nodeCount[k]++
+// OnHandler advances node k's handler counter (Init is invocation 1) by n
+// invocations (n > 1 only while Quiet holds) and returns Crash, Restart,
+// Corrupt, or 0.
+func (p *Plane) OnHandler(step uint64, k int, n uint64) Class {
+	p.nodeCount[k] += n
 	cl, i := p.fire(&p.nodePending[k], p.nodeCount[k], step)
 	if cl != 0 {
 		p.lastNode[k] = i

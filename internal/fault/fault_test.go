@@ -146,15 +146,15 @@ func TestHooksFireAtTriggers(t *testing.T) {
 	const rounds = 10 // past any bumped trigger
 	for ev := uint64(1); ev <= rounds; ev++ {
 		for c := 0; c < 2*cfg.Nodes; c++ {
-			if cl := p.OnSend(ev, c); cl != 0 {
+			if cl := p.OnSend(ev, c, 1); cl != 0 {
 				markFired(t, sched, fired, cl, c, -1, ev)
 			}
-			if cl := p.OnDeliver(ev, c); cl != 0 {
+			if cl := p.OnDeliver(ev, c, 1); cl != 0 {
 				markFired(t, sched, fired, cl, c, -1, ev)
 			}
 		}
 		for k := 0; k < cfg.Nodes; k++ {
-			if cl := p.OnHandler(ev, k); cl != 0 {
+			if cl := p.OnHandler(ev, k, 1); cl != 0 {
 				markFired(t, sched, fired, cl, -1, k, ev)
 			}
 		}
@@ -200,12 +200,12 @@ func TestZeroBudgetInert(t *testing.T) {
 	}
 	for ev := uint64(1); ev <= 100; ev++ {
 		for c := 0; c < 6; c++ {
-			if p.OnSend(ev, c) != 0 || p.OnDeliver(ev, c) != 0 {
+			if p.OnSend(ev, c, 1) != 0 || p.OnDeliver(ev, c, 1) != 0 {
 				t.Fatalf("zero-budget plane fired a channel fault")
 			}
 		}
 		for k := 0; k < 3; k++ {
-			if p.OnHandler(ev, k) != 0 {
+			if p.OnHandler(ev, k, 1) != 0 {
 				t.Fatalf("zero-budget plane fired a node fault")
 			}
 		}
@@ -263,7 +263,7 @@ func TestSkipLast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl := p.OnHandler(1, 0); cl != fault.Restart {
+	if cl := p.OnHandler(1, 0, 1); cl != fault.Restart {
 		t.Fatalf("OnHandler = %v, want restart", cl)
 	}
 	p.SkipLast(0)
@@ -298,18 +298,18 @@ func TestScriptedPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.OnHandler(1, 1) != 0 {
+	if p.OnHandler(1, 1, 1) != 0 {
 		t.Error("crash fired before its scripted trigger")
 	}
-	if got := p.OnHandler(2, 1); got != fault.Crash {
+	if got := p.OnHandler(2, 1, 1); got != fault.Crash {
 		t.Errorf("handler 2 on node 1: %v, want crash", got)
 	}
 	for ev := uint64(1); ev <= 2; ev++ {
-		if p.OnSend(ev, 4) != 0 {
+		if p.OnSend(ev, 4, 1) != 0 {
 			t.Errorf("loss fired at send %d, scripted for 3", ev)
 		}
 	}
-	if got := p.OnSend(3, 4); got != fault.Loss {
+	if got := p.OnSend(3, 4, 1); got != fault.Loss {
 		t.Errorf("send 3 on chan 4: %v, want loss", got)
 	}
 	if p.Fired() != 2 {
@@ -355,18 +355,18 @@ func TestWindowTriggerArming(t *testing.T) {
 	}
 	// The target is busy before the window opens: no firing.
 	for i := 0; i < 5; i++ {
-		if p.OnHandler(0, 0) != 0 {
+		if p.OnHandler(0, 0, 1) != 0 {
 			t.Fatal("crash fired before the delivery window opened")
 		}
 	}
 	// Ring-wide deliveries on OTHER channels open the window.
-	p.OnDeliver(0, 3)
-	p.OnDeliver(0, 4)
-	if p.OnHandler(0, 0) != 0 {
+	p.OnDeliver(0, 3, 1)
+	p.OnDeliver(0, 4, 1)
+	if p.OnHandler(0, 0, 1) != 0 {
 		t.Fatal("crash fired after 2 deliveries; window is 3")
 	}
-	p.OnDeliver(0, 5)
-	if got := p.OnHandler(0, 0); got != fault.Crash {
+	p.OnDeliver(0, 5, 1)
+	if got := p.OnHandler(0, 0, 1); got != fault.Crash {
 		t.Fatalf("first handler after the window opened: %v, want crash", got)
 	}
 	log := p.Log()
@@ -390,10 +390,10 @@ func TestWindowTriggerIdleTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Channel 1 has had NO sends; the ring progresses elsewhere.
-	p.OnDeliver(0, 2)
-	p.OnDeliver(0, 2)
+	p.OnDeliver(0, 2, 1)
+	p.OnDeliver(0, 2, 1)
 	// Now the very first send on the idle channel is hit.
-	if got := p.OnSend(0, 1); got != fault.Loss {
+	if got := p.OnSend(0, 1, 1); got != fault.Loss {
 		t.Fatalf("first send after window opened: %v, want loss", got)
 	}
 }
@@ -409,12 +409,71 @@ func TestWindowTriggerLocalUnaffected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		p.OnDeliver(0, 2)
+		p.OnDeliver(0, 2, 1)
 	}
-	if p.OnSend(1, 1) != 0 {
+	if p.OnSend(1, 1, 1) != 0 {
 		t.Error("local-mode loss fired at send 1; its trigger is the 2nd send")
 	}
-	if got := p.OnSend(2, 1); got != fault.Loss {
+	if got := p.OnSend(2, 1, 1); got != fault.Loss {
 		t.Errorf("send 2: %v, want loss", got)
+	}
+}
+
+// TestQuietRuns: Quiet holds exactly when no injection is pending on the
+// delivery channel, its receiving node or the two channels that node
+// sends on (any pending injection, under TriggerWindow), and while it
+// holds a counted hook call advances a counter by a whole run without
+// firing; the injection then still fires at its own trigger.
+func TestQuietRuns(t *testing.T) {
+	schedule := []fault.Injection{
+		{Class: fault.Spurious, Chan: 0, Trigger: 4},
+		{Class: fault.Crash, Node: 1, Trigger: 2},
+		{Class: fault.Loss, Chan: 5, Trigger: 3},
+	}
+	p, err := fault.Scripted(fault.Config{Nodes: 3, Classes: fault.AllClasses}, schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		c, out0, out1 int
+		quiet         bool
+	}{
+		{0, 2, 3, false}, // spurious pending on the delivery channel
+		{2, 4, 0, false}, // crash pending on node 1
+		{4, 5, 1, false}, // loss pending on an outgoing channel
+		{4, 1, 2, true},
+	} {
+		if got := p.Quiet(tc.c, tc.out0, tc.out1); got != tc.quiet {
+			t.Errorf("Quiet(%d, %d, %d) = %t, want %t", tc.c, tc.out0, tc.out1, got, tc.quiet)
+		}
+	}
+	if p.OnDeliver(1, 4, 5) != 0 || p.OnHandler(5, 2, 5) != 0 || p.OnSend(5, 1, 5) != 0 {
+		t.Error("a counted run on quiet entities fired")
+	}
+	for ev := uint64(1); ev <= 3; ev++ {
+		if p.OnDeliver(ev, 0, 1) != 0 {
+			t.Errorf("spurious fired at delivery %d, scripted for 4", ev)
+		}
+	}
+	if got := p.OnDeliver(4, 0, 1); got != fault.Spurious {
+		t.Errorf("delivery 4 on chan 0: %v, want spurious", got)
+	}
+	if !p.Quiet(0, 2, 3) {
+		t.Error("Quiet false on channel 0 after its only injection fired")
+	}
+
+	w, err := fault.Scripted(fault.Config{Nodes: 3, Classes: fault.AllClasses, Trigger: fault.TriggerWindow}, schedule[1:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Quiet(4, 1, 2) {
+		t.Error("window-mode Quiet true with an injection pending elsewhere")
+	}
+	w.OnDeliver(1, 4, 2)
+	if got := w.OnHandler(2, 1, 1); got != fault.Crash {
+		t.Fatalf("node 1's first handler after the window opened: %v, want crash", got)
+	}
+	if !w.Quiet(4, 1, 2) {
+		t.Error("window-mode Quiet false after every injection fired")
 	}
 }

@@ -315,7 +315,7 @@ func Run(topo ring.Topology, machines []node.PulseMachine, opts ...Option) (Resu
 				// injected pulse is counted in flight before it is ever
 				// offered, keeping zero a stable quiescence witness.
 				cd.preDeliver = func() int {
-					if r.plane.OnDeliver(0, ch) == fault.Spurious {
+					if r.plane.OnDeliver(0, ch, 1) == fault.Spurious {
 						r.count(dir)
 						return 1
 					}
@@ -446,7 +446,7 @@ func (e emitter) Send(p pulse.Port, m pulse.Pulse) {
 	c := 2*to.Node + int(to.Port)
 	copies := 1
 	if e.r.plane != nil {
-		switch e.r.plane.OnSend(0, c) {
+		switch e.r.plane.OnSend(0, c, 1) {
 		case fault.Loss:
 			return
 		case fault.Dup:
@@ -467,7 +467,7 @@ func (r *netRuntime) applyNodeFault(k int, m node.PulseMachine, em node.PulseEmi
 	if r.plane == nil {
 		return true
 	}
-	switch r.plane.OnHandler(0, k) {
+	switch r.plane.OnHandler(0, k, 1) {
 	case fault.Crash:
 		r.crashed[k] = true
 		return false

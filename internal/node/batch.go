@@ -13,9 +13,14 @@ import (
 // in one O(1) step — add k to the receive counter, emit a counted run —
 // as long as the aggregate effect is exactly what k consecutive OnMsg
 // invocations would have produced. These interfaces express that
-// contract; the batch-aware simulator (sim.WithBatching) drives them and
-// the batched differential tests prove the equivalence run by run
-// against the sequential engine.
+// contract. The simulator's one delivery path drives them: a delivery of
+// one pulse calls OnMsg, and a delivery offering a longer run
+// (sim.WithBatching) calls OnPulses. The batched differential tests prove
+// the equivalence run by run against per-pulse replays, with and without
+// a fault plane; with one attached, the simulator offers a run only when
+// no injection can fire inside it, so OnPulses never sees a fault
+// mid-run. Corruption faults can leave a machine in a state no
+// fault-free run reaches, and the contract holds there too.
 
 // BatchEmitter extends the pulse emitter with counted runs: SendRun
 // queues n pulses on the channel attached to port p, exactly as n

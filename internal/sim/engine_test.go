@@ -98,6 +98,27 @@ func (f *flatState) Ready(p pulse.Port) bool { return f.ms[f.cur].Ready(p) }
 
 func (f *flatState) Status() node.Status { return f.ms[f.cur].Status() }
 
+// checkRestoredOutputs fails t unless every flatState node of ms, its
+// final snapshot restored into a freshly built machine, reports the
+// Status res recorded for it: election state and orientation output
+// included. A field that a node's last transition rewrites (Alg3's
+// oriented) stays current in the machines that ran even when Restore
+// misses it; only a restore into a fresh machine shows the gap.
+func checkRestoredOutputs(t *testing.T, inst instance, ms []node.PulseMachine, res sim.Result) {
+	t.Helper()
+	fresh, err := inst.machines()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, m := range ms {
+		u := fresh[k].(undoMachine)
+		u.Restore(m.(*flatState).snap)
+		if got := u.Status(); !reflect.DeepEqual(got, res.Statuses[k]) {
+			t.Fatalf("node %d restored from its final snapshot reports %+v, the run ended with %+v", k, got, res.Statuses[k])
+		}
+	}
+}
+
 // orientedInstance builds an Algorithm 1 or 2 instance on an oriented
 // ring carrying ids.
 func orientedInstance(name string, alg int, ids []uint64) instance {
@@ -209,9 +230,11 @@ func compareRuns(t *testing.T, label string,
 // the sequential engine: for every stock scheduler, machines whose state
 // lives in their flat Undoable snapshot between transitions (flatState)
 // must produce an event-for-event identical trace and Result to the
-// pointer machines themselves. It checks at run time, on every instance
-// and schedule, that SnapshotTo and Restore carry a machine's whole
-// mutable state, which the exhaustive explorer's undo arena relies on.
+// pointer machines themselves, and each node's final snapshot must
+// restore to the same outputs (checkRestoredOutputs). It checks at run
+// time, on every instance and schedule, that SnapshotTo and Restore
+// carry a machine's whole mutable state, which the exhaustive
+// explorer's undo arena relies on.
 func TestFlatMatchesPointerMachines(t *testing.T) {
 	for _, inst := range instances() {
 		for schedName := range sim.Stock(1) {
@@ -231,6 +254,9 @@ func TestFlatMatchesPointerMachines(t *testing.T) {
 						t.Fatal(err)
 					}
 					res, runErr := s.Run(inst.budget)
+					if flat && runErr == nil {
+						checkRestoredOutputs(t, inst, ms, res)
+					}
 					return events, res, runErr
 				}
 				ptrEv, ptrRes, ptrErr := trace(false)
@@ -329,6 +355,9 @@ func runOutcome(t *testing.T, inst instance, sched sim.Scheduler, flat, batched 
 	res, err := s.Run(inst.budget)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if flat {
+		checkRestoredOutputs(t, inst, ms, res)
 	}
 	return res
 }

@@ -9,11 +9,13 @@ import (
 )
 
 // WithFaultPlane attaches a fault plane: the simulator consults it on every
-// send (loss, duplication), after every delivery (spurious injection onto
-// the delivered channel, then node crash / restart / corruption of the
-// handling node), and after every init. A plane with zero budget never
-// fires and the run is identical to a plane-free one, which the
-// zero-budget differential test asserts trace-for-trace.
+// send (loss, duplication), after every delivery (node crash / restart /
+// corruption of the handling node, then spurious injection onto the
+// delivered channel), and after every init. It combines with WithBatching:
+// a transition that could fire an injection is a single pulse, and the
+// others advance the plane's counters by their counts. A plane with zero
+// budget never fires and the run is identical to a plane-free one, which
+// the zero-budget differential tests assert trace-for-trace.
 //
 // Faulted runs deliberately step outside the Section 2 model, so the
 // built-in violation checks double as fault detectors: a lost pulse can
@@ -36,14 +38,15 @@ func (s *Sim[M]) captureInitialSnapshots() {
 	}
 }
 
-// applyFaults runs the fault hooks owed after delivering channel c's head
-// to node k: first the node fault for the handler that just ran, then
-// spurious injection accounted to the delivery.
-func (s *Sim[M]) applyFaults(c, k int) error {
-	if err := s.applyNodeFault(k); err != nil {
+// applyFaults runs the fault hooks owed after node k consumed m messages
+// from channel c: first the node fault for the handler that just ran,
+// then spurious injection accounted to the delivery. Injections fire only
+// when m == 1 (deliver caps the transition otherwise).
+func (s *Sim[M]) applyFaults(c, k int, m uint64) error {
+	if err := s.applyNodeFault(k, m); err != nil {
 		return err
 	}
-	if s.plane.OnDeliver(s.step, c) == fault.Spurious {
+	if s.plane.OnDeliver(s.step, c, m) == fault.Spurious {
 		return s.injectSpurious(c)
 	}
 	return nil
@@ -59,14 +62,15 @@ func (s *Sim[M]) injectSpurious(c int) error {
 			ErrPostTerminationSend, k)
 	}
 	var zero M
-	s.enqueue(c, zero, s.chanDir[c])
+	s.enqueue(c, zero, 1, s.chanDir[c])
 	return nil
 }
 
 // applyNodeFault consults the plane for node k's handler invocation that
-// just completed and applies the resulting crash, restart, or corruption.
-func (s *Sim[M]) applyNodeFault(k int) error {
-	switch s.plane.OnHandler(s.step, k) {
+// just completed, standing for m handler events, and applies the
+// resulting crash, restart, or corruption.
+func (s *Sim[M]) applyNodeFault(k int, m uint64) error {
+	switch s.plane.OnHandler(s.step, k, m) {
 	case fault.Crash:
 		// Fail-stop: the node consumes nothing from here on. Its queued
 		// and future incoming pulses strand, surfacing as ErrStalled.
@@ -103,14 +107,5 @@ func (s *Sim[M]) applyNodeFault(k int) error {
 // uninitialized, and it does not consult the plane again for itself.
 func (s *Sim[M]) rerunInit(k int) error {
 	s.step++
-	var ev *Event
-	if len(s.obs) > 0 {
-		ev = &Event{Kind: EvInit, Step: s.step, Node: k}
-	}
-	s.em.from = k
-	s.machines[k].Init(&s.em)
-	if err := s.flushSends(k, ev); err != nil {
-		return err
-	}
-	return s.afterHandler(k, ev)
+	return s.runInit(k)
 }

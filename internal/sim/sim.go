@@ -24,6 +24,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"coleader/internal/fault"
@@ -52,12 +53,6 @@ var (
 
 	// ErrMachineFault: a machine reported a protocol fault via Status().Err.
 	ErrMachineFault = errors.New("sim: machine fault")
-
-	// ErrBatchUnsupported: WithBatching was combined with a machine or
-	// option it cannot drive: every machine must implement
-	// node.BatchMachine, and the batch fast path is model-exact, so the
-	// fault plane is rejected.
-	ErrBatchUnsupported = errors.New("sim: batching unsupported for this configuration")
 )
 
 // EventKind distinguishes the two things that can happen in an event-driven
@@ -70,10 +65,9 @@ const (
 	EvDeliver
 )
 
-// SendRec records one message emission for observers. On the batched
-// fast path (WithBatching) a record may describe a counted run: Count
-// holds the run length, and 0 — the value every non-batched path leaves
-// — means a single message.
+// SendRec records one message emission for observers. A record may
+// describe a counted pulse run (node.BatchEmitter.SendRun, WithBatching):
+// Count holds the run length, and 0 means a single message.
 type SendRec struct {
 	From  int
 	Port  pulse.Port
@@ -84,12 +78,12 @@ type SendRec struct {
 
 // Event describes one simulator step for observers. Payloads are not
 // included; observers needing algorithm state introspect machines directly.
-// On the batched fast path one event describes a whole batch transition:
-// Count holds how many pulses it consumed (0 — the value every
-// non-batched path leaves — means 1), Step is the step of the FIRST
-// pulse of the run (the transition spans steps Step..Step+Count-1 of
-// the equivalent pulse-by-pulse execution), and Sends carries counted
-// runs.
+// A delivery is a run of pulses from one channel: Count holds how many it
+// consumed (0 means 1, the only value without WithBatching), Step is the
+// step of the FIRST pulse of the run (the transition spans steps
+// Step..Step+Count-1 of the equivalent pulse-by-pulse execution), and
+// Sends may carry counted runs. With a fault plane attached, a transition
+// that could fire an injection is always a single pulse (see deliver).
 type Event struct {
 	Kind  EventKind
 	Step  uint64
@@ -179,15 +173,12 @@ type Sim[M any] struct {
 	em      emitter[M]
 	failed  error
 
-	// Batch fast path (WithBatching; pulse machines only). When batch
-	// is set every machine implements node.BatchMachine (setupBatch
-	// checked); runEm is the reusable counted-run emitter handed to
-	// OnPulses; runs/coalesced feed the RunsCoalesced accessor and the
-	// progress reporter.
-	batch     bool
-	runEm     runEmitter
-	runs      uint64 // batch transitions (OnPulses invocations)
-	coalesced uint64 // batch transitions that consumed more than one pulse
+	// bem is em as the node.BatchEmitter handed to OnPulses; WithBatching
+	// sets it (only Sim[pulse.Pulse] has one), and a nil bem means every
+	// delivery is a single pulse. runs/coalesced feed RunsCoalesced.
+	bem       node.BatchEmitter
+	runs      uint64 // delivery transitions
+	coalesced uint64 // delivery transitions that consumed more than one pulse
 
 	// Fault plane (nil on model-exact runs). crashed nodes consume
 	// nothing; initSnap holds pre-Init Undoable snapshots for restarts.
@@ -196,27 +187,27 @@ type Sim[M any] struct {
 	initSnap [][]byte
 }
 
-// entry is one queued element of a channel FIFO. On non-batched paths
-// every entry is a single message (cnt == 1). The batched fast path
-// (WithBatching) stores counted pulse runs instead: an entry with
-// cnt == c represents c contentless pulses occupying the contiguous
-// sequence numbers seq .. seq+c-1 — sound because a content-oblivious
-// channel's state IS its pulse count, and exact because run emissions
-// are per-channel contiguous in the expanded execution (see the
-// BatchMachine contract).
+// entry is one queued element of a channel FIFO: cnt messages occupying
+// the contiguous sequence numbers seq .. seq+cnt-1. Without WithBatching
+// every entry is a single message (cnt == 1). With it an entry is a
+// counted pulse run — sound because a content-oblivious channel's state
+// IS its pulse count, and exact because run emissions are per-channel
+// contiguous in the expanded execution (see the BatchMachine contract).
+// msg comes first: a zero-size last field would be padded, making
+// entry[pulse.Pulse] 24 B instead of 16.
 type entry[M any] struct {
+	msg M
 	seq uint64
 	cnt uint64
-	msg M
 }
 
 // fifo is a head-indexed ring buffer holding one channel's queued
 // messages. Unlike q = q[1:] re-slicing it never pins its backing array:
 // popped slots are reused, so a channel that stays shallow never grows
 // past a few entries no matter how many messages pass through it.
-// tot is the queued message count (Σ cnt over entries): equal to n on
-// non-batched paths, and the scheduler-visible queue length everywhere.
-// Buffers start at one entry (on the batched path most channels never
+// tot is the queued message count (Σ cnt over entries): equal to n
+// without WithBatching, and the scheduler-visible queue length
+// everywhere. Buffers start at one entry (batched, most channels never
 // hold more than one run) and double. head and n are int32, so push
 // panics rather than grow one queue past maxQueueEntries.
 type fifo[M any] struct {
@@ -230,7 +221,17 @@ type fifo[M any] struct {
 // int32 head and count exact.
 const maxQueueEntries = 1 << 30
 
-func (q *fifo[M]) push(e entry[M]) {
+// push appends e. With merge set (batched pulse queues, whose messages
+// are contentless) it extends the tail entry instead when the sequence
+// ranges are contiguous.
+func (q *fifo[M]) push(e entry[M], merge bool) {
+	q.tot += e.cnt
+	if merge && q.n > 0 {
+		if tail := q.at(int(q.n) - 1); tail.seq+tail.cnt == e.seq {
+			tail.cnt += e.cnt
+			return
+		}
+	}
 	if int(q.n) == len(q.buf) {
 		if len(q.buf) == maxQueueEntries {
 			panic(fmt.Sprintf("sim: channel queue exceeds %d entries", maxQueueEntries))
@@ -243,39 +244,13 @@ func (q *fifo[M]) push(e entry[M]) {
 	}
 	*q.at(int(q.n)) = e
 	q.n++
-	q.tot += e.cnt
 }
 
-// pushRun appends a counted pulse run, coalescing it into the tail
-// entry when the sequence ranges are contiguous. Only the batched fast
-// path calls this (messages are contentless pulses, so merging entries
-// never conflates payloads).
-func (q *fifo[M]) pushRun(e entry[M]) {
-	if q.n > 0 {
-		tail := q.at(int(q.n) - 1)
-		if tail.seq+tail.cnt == e.seq {
-			tail.cnt += e.cnt
-			q.tot += e.cnt
-			return
-		}
-	}
-	q.push(e)
-}
-
-func (q *fifo[M]) pop() entry[M] {
-	e := q.buf[q.head]
-	q.buf[q.head] = entry[M]{} // release any payload reference
-	q.head = (q.head + 1) & int32(len(q.buf)-1)
-	q.n--
-	q.tot -= e.cnt
-	return e
-}
-
-// popPulses consumes m pulses from the front of the queue, splitting a
+// take consumes m messages from the front of the queue, splitting a
 // partially consumed run in place (its remainder keeps ascending,
 // contiguous numbering, so the front's seq stays the oldest queued
-// pulse's). m must be at most tot.
-func (q *fifo[M]) popPulses(m uint64) {
+// message's). m must be at most tot.
+func (q *fifo[M]) take(m uint64) {
 	q.tot -= m
 	for m > 0 {
 		f := &q.buf[q.head]
@@ -285,7 +260,7 @@ func (q *fifo[M]) popPulses(m uint64) {
 			return
 		}
 		m -= f.cnt
-		q.buf[q.head] = entry[M]{}
+		q.buf[q.head] = entry[M]{} // release any payload reference
 		q.head = (q.head + 1) & int32(len(q.buf)-1)
 		q.n--
 	}
@@ -509,7 +484,7 @@ func New[M any](t ring.Topology, machines []node.Machine[M], sched Scheduler, op
 		for _, p := range []pulse.Port{pulse.Port0, pulse.Port1} {
 			// Channel into (k, p) carries messages traveling opposite to
 			// the direction k would send out of p. The outgoing wiring is
-			// cached here once so flushSends never consults the topology
+			// cached here once so flush never consults the topology
 			// on the per-send path; the receiving endpoint is recovered
 			// from the peer's channel id with chanEndpoint.
 			c := chanID(k, p)
@@ -519,15 +494,11 @@ func New[M any](t ring.Topology, machines []node.Machine[M], sched Scheduler, op
 			s.peerCh[c] = int32(chanID(to.Node, to.Port))
 		}
 	}
-	s.em.s = s
 	for _, o := range opts {
 		o(s)
 	}
 	if !s.rescan {
 		s.installHeapHints()
-	}
-	if err := s.setupBatch(); err != nil {
-		return nil, err
 	}
 	if s.plane != nil {
 		s.captureInitialSnapshots()
@@ -550,16 +521,16 @@ func chanEndpoint(c int) ring.Endpoint { return ring.Endpoint{Node: ChanNode(c),
 // clockwise sends enqueued first. That ordering realizes the canonical
 // scheduler's tie-break of Definition 21 ("prioritizing CW pulses" among
 // pulses emitted at the same instant) and is harmless for every other
-// scheduler.
+// scheduler. A send is a run of one; on Sim[pulse.Pulse] the emitter is
+// also the node.BatchEmitter handed to OnPulses.
 type emitter[M any] struct {
-	s    *Sim[M]
-	from int
-	buf  []pendingSend[M]
+	buf []pendingSend[M]
 }
 
 type pendingSend[M any] struct {
 	port pulse.Port
 	msg  M
+	n    uint64
 }
 
 // Send implements node.Emitter.
@@ -567,12 +538,28 @@ func (e *emitter[M]) Send(p pulse.Port, m M) {
 	if !p.Valid() {
 		panic(fmt.Sprintf("sim: send on invalid port %d", p))
 	}
-	e.buf = append(e.buf, pendingSend[M]{port: p, msg: m})
+	e.buf = append(e.buf, pendingSend[M]{port: p, msg: m, n: 1})
 }
 
-func (s *Sim[M]) flushSends(from int, ev *Event) error {
+// SendRun implements node.BatchEmitter: n contentless messages out of p.
+func (e *emitter[M]) SendRun(p pulse.Port, n uint64) {
+	if !p.Valid() {
+		panic(fmt.Sprintf("sim: send on invalid port %d", p))
+	}
+	if n > 0 {
+		e.buf = append(e.buf, pendingSend[M]{port: p, n: n})
+	}
+}
+
+// flush enqueues the sends node from buffered during a handler that
+// consumed consumed messages (1 for Init), clockwise first, consulting
+// the fault plane on each. Multi-message transitions must be
+// emission-uniform (checkRunUniformity).
+func (s *Sim[M]) flush(from int, consumed uint64, ev *Event) error {
 	buf := s.em.buf
-	// Clockwise sends first (stable within each class).
+	if err := checkRunUniformity(buf, consumed); err != nil {
+		return err
+	}
 	for pass := 0; pass < 2; pass++ {
 		want := pulse.CW
 		if pass == 1 {
@@ -589,16 +576,20 @@ func (s *Sim[M]) flushSends(from int, ev *Event) error {
 					ErrPostTerminationSend, from, want, ChanNode(c))
 			}
 			if s.plane != nil {
-				switch s.plane.OnSend(s.step, c) {
+				switch s.plane.OnSend(s.step, c, ps.n) {
 				case fault.Loss:
 					continue // vanished in transit; never reaches the queue
 				case fault.Dup:
-					s.enqueue(c, ps.msg, want)
+					s.enqueue(c, ps.msg, ps.n, want)
 				}
 			}
-			s.enqueue(c, ps.msg, want)
+			s.enqueue(c, ps.msg, ps.n, want)
 			if ev != nil {
-				ev.Sends = append(ev.Sends, SendRec{From: from, Port: ps.port, Dir: want, To: chanEndpoint(c)})
+				rec := SendRec{From: from, Port: ps.port, Dir: want, To: chanEndpoint(c)}
+				if ps.n > 1 {
+					rec.Count = ps.n
+				}
+				ev.Sends = append(ev.Sends, rec)
 			}
 		}
 	}
@@ -606,28 +597,30 @@ func (s *Sim[M]) flushSends(from int, ev *Event) error {
 	return nil
 }
 
-// enqueue places one message on channel c traveling dir, assigning the next
-// global sequence number and maintaining the counters and the deliverable
-// set. It is the single point where messages enter the wire: handler
-// emissions, duplicated pulses, and spurious injections all land here, so
-// Sent and InFlight count adversarial traffic too.
-func (s *Sim[M]) enqueue(c int, msg M, dir pulse.Direction) {
-	s.seq++
-	s.queues[c].push(entry[M]{seq: s.seq, cnt: 1, msg: msg})
-	s.sent++
+// enqueue places n copies of msg on channel c traveling dir, assigning
+// the next n global sequence numbers and maintaining the counters and the
+// deliverable set. It is the single point where messages enter the wire:
+// handler emissions, duplicated pulses, and spurious injections all land
+// here, so Sent and InFlight count adversarial traffic too.
+func (s *Sim[M]) enqueue(c int, msg M, n uint64, dir pulse.Direction) {
+	q := &s.queues[c]
+	wasEmpty := q.n == 0
+	q.push(entry[M]{msg: msg, seq: s.seq + 1, cnt: n}, s.bem != nil)
+	s.seq += n
+	s.sent += n
 	if dir == pulse.CW {
-		s.sentCW++
+		s.sentCW += n
 	} else {
-		s.sentCCW++
+		s.sentCCW += n
 	}
-	if s.queues[c].n == 1 {
+	if wasEmpty {
 		// Empty -> non-empty is the only enqueue transition that can
 		// change deliverability.
 		s.refreshChan(c)
 	} else if len(s.aux) > 0 && s.deliv.get(c) {
 		// The head is unchanged, so the head-keyed heaps dedup this to
 		// a no-op; only a count-keyed heap (HeapHeaviest) re-registers.
-		s.auxPush(c, s.queues[c].front().seq)
+		s.auxPush(c, q.front().seq)
 	}
 }
 
@@ -696,24 +689,29 @@ func (s *Sim[M]) InitNode(k int) error {
 	}
 	s.inited[k] = true
 	s.step++
-	var ev *Event
-	if len(s.obs) > 0 {
-		ev = &Event{Kind: EvInit, Step: s.step, Node: k}
-	}
-	s.em.from = k
-	s.machines[k].Init(&s.em)
-	if err := s.flushSends(k, ev); err != nil {
-		return s.fail(err)
-	}
-	if err := s.afterHandler(k, ev); err != nil {
+	if err := s.runInit(k); err != nil {
 		return s.fail(err)
 	}
 	if s.plane != nil {
-		if err := s.applyNodeFault(k); err != nil {
+		if err := s.applyNodeFault(k, 1); err != nil {
 			return s.fail(err)
 		}
 	}
 	return nil
+}
+
+// runInit executes node k's Init as one handler invocation at the
+// current step.
+func (s *Sim[M]) runInit(k int) error {
+	var ev *Event
+	if len(s.obs) > 0 {
+		ev = &Event{Kind: EvInit, Step: s.step, Node: k}
+	}
+	s.machines[k].Init(&s.em)
+	if err := s.flush(k, 1, ev); err != nil {
+		return err
+	}
+	return s.afterHandler(k, ev)
 }
 
 func (s *Sim[M]) fail(err error) error {
@@ -756,16 +754,31 @@ func (s *Sim[M]) Deliverable() []int {
 	return s.scratch
 }
 
-// Deliver pops the head message of channel c and runs the receiver's
-// handler. c must currently be deliverable.
-func (s *Sim[M]) Deliver(c int) error {
+// Deliver delivers the head message of channel c to the receiver's
+// handler: one pulse, also on a batched simulation. c must currently be
+// deliverable.
+func (s *Sim[M]) Deliver(c int) error { return s.deliver(c, 1) }
+
+// deliver runs one transition on channel c: the receiver consumes at most
+// max of the messages queued there (Run passes MaxUint64 under
+// WithBatching: the whole queue). With max == 1, or a machine that is
+// not a node.BatchMachine, that is one OnMsg call on the head message;
+// otherwise OnPulses takes the run and reports how much of it it
+// consumed. Step, Delivered and the sequence numbers advance by message
+// counts, so Result totals do not depend on how deliveries are grouped.
+//
+// A fault plane fires injections only at single events, so with one
+// attached a transition is capped at one pulse while the plane has an
+// injection pending on anything it touches (fault.Plane.Quiet). Every
+// injection then fires in a single-pulse transition at the step it fires
+// at in the expanded, pulse-by-pulse execution, and an uncapped run
+// advances the plane's counters by its counts without firing anything.
+// Faults can also make a node send toward a terminated neighbor, which
+// aborts the expanded execution at its first pulse, so a transition of a
+// node with a terminated neighbor is capped too.
+func (s *Sim[M]) deliver(c int, max uint64) error {
 	if s.failed != nil {
 		return s.failed
-	}
-	if s.batch {
-		// Queues hold counted runs, not single messages; the batch
-		// delivery loop (RunDeliveries) is the only admissible driver.
-		return errors.New("sim: Deliver is pulse-by-pulse; drive batched simulations with Run or RunDeliveries")
 	}
 	if c < 0 || c >= len(s.queues) || s.queues[c].n == 0 {
 		return fmt.Errorf("sim: deliver on empty or invalid channel %d", c)
@@ -781,23 +794,49 @@ func (s *Sim[M]) Deliver(c int) error {
 	case !s.machines[k].Ready(p):
 		return fmt.Errorf("sim: deliver on non-ready port %s of node %d", p, k)
 	}
-	head := s.queues[c].pop()
-	s.delivered++
-	s.step++
+	q := &s.queues[c]
+	max = min(max, q.tot)
+	if max > 1 && s.plane != nil {
+		out0, out1 := int(s.peerCh[chanID(k, pulse.Port0)]), int(s.peerCh[chanID(k, pulse.Port1)])
+		if s.termAt[ChanNode(out0)] != 0 || s.termAt[ChanNode(out1)] != 0 || !s.plane.Quiet(c, out0, out1) {
+			max = 1
+		}
+	}
+	m := uint64(1)
+	var bm node.BatchMachine
+	if max > 1 {
+		bm, _ = any(s.machines[k]).(node.BatchMachine)
+	}
+	if bm != nil {
+		m = bm.OnPulses(p, max, s.bem)
+		if m == 0 || m > max {
+			return s.fail(fmt.Errorf("sim: batch transition at node %d consumed %d of %d queued pulses", k, m, max))
+		}
+	} else {
+		s.machines[k].OnMsg(p, q.front().msg, &s.em)
+	}
+	q.take(m)
+	s.delivered += m
+	s.step += m
+	s.runs++
 	var ev *Event
 	if len(s.obs) > 0 {
-		ev = &Event{Kind: EvDeliver, Step: s.step, Node: k, Port: p, Dir: s.chanDir[c]}
+		ev = &Event{Kind: EvDeliver, Step: s.step - m + 1, Node: k, Port: p, Dir: s.chanDir[c]}
 	}
-	s.em.from = k
-	s.machines[k].OnMsg(p, head.msg, &s.em)
-	if err := s.flushSends(k, ev); err != nil {
+	if m > 1 {
+		s.coalesced++
+		if ev != nil {
+			ev.Count = m
+		}
+	}
+	if err := s.flush(k, m, ev); err != nil {
 		return s.fail(err)
 	}
 	if err := s.afterHandler(k, ev); err != nil {
 		return s.fail(err)
 	}
 	if s.plane != nil {
-		if err := s.applyFaults(c, k); err != nil {
+		if err := s.applyFaults(c, k, m); err != nil {
 			return s.fail(err)
 		}
 	}
@@ -827,15 +866,15 @@ func (s *Sim[M]) Topology() ring.Topology { return s.topo }
 // Step returns the number of handler invocations so far.
 func (s *Sim[M]) Step() uint64 { return s.step }
 
-// QueueLen returns the number of messages queued on channel c. On the
-// batched fast path this counts pulses, not run entries, so schedulers
-// that weight by queue length (Random) see the same quantity on both
-// paths.
+// QueueLen returns the number of messages queued on channel c: pulses,
+// not run entries, so schedulers that weight by queue length (Random)
+// see the same quantity with and without WithBatching.
 func (s *Sim[M]) QueueLen(c int) int { return int(s.queues[c].tot) }
 
 // RunsCoalesced reports the batch fast path's win so far: the number of
-// batch transitions executed and, of those, how many consumed more than
-// one pulse in a single O(1) step. Both are zero without WithBatching.
+// delivery transitions executed and, of those, how many consumed more
+// than one pulse in a single O(1) step. Without WithBatching every
+// transition is one pulse, so transitions equals Delivered and multi is 0.
 func (s *Sim[M]) RunsCoalesced() (transitions, multi uint64) { return s.runs, s.coalesced }
 
 // headSeq returns the send sequence number of channel c's oldest message.
@@ -886,13 +925,11 @@ func (s *Sim[M]) RunDeliveries(limit uint64) (Result, error) {
 			return s.Result(), s.fail(fmt.Errorf("%w: %d in flight", ErrStalled, s.InFlight()))
 		}
 		c := s.sched.Next(&view)
-		if s.batch {
-			if err := s.deliverRun(c); err != nil {
-				return s.Result(), err
-			}
-			continue
+		run := uint64(1)
+		if s.bem != nil {
+			run = math.MaxUint64 // the whole queued run
 		}
-		if err := s.Deliver(c); err != nil {
+		if err := s.deliver(c, run); err != nil {
 			return s.Result(), err
 		}
 	}
