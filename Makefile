@@ -189,3 +189,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzChunkAssembler -fuzztime=10s ./internal/defective
 	$(GO) test -run='^$$' -fuzz=FuzzFrameCodec -fuzztime=10s ./internal/defective
 	$(GO) test -run='^$$' -fuzz=FuzzBatchedMatchesExpanded -fuzztime=10s ./internal/sim
+	$(GO) test -run='^$$' -fuzz=FuzzOptimizedMatchesRescan -fuzztime=10s ./internal/sim

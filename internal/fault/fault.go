@@ -493,18 +493,12 @@ func (p *Plane) fire(pending *[]int, count, step uint64) (Class, int) {
 // Quiet reports that no injection is pending on anything one delivery
 // from channel c touches: c's deliveries, the handlers of its receiving
 // node, and the sends on out0 and out1, the channels that node sends on.
-// Under TriggerWindow any pending injection counts. While Quiet holds, a
-// run of such deliveries fires nothing, so a caller may account it with
-// one call per hook, passing the run's counts as n.
+// An injection fires only inside an event on its own target, under
+// TriggerWindow too (the ring-wide count only arms it), so the same test
+// holds for both triggers. While Quiet holds, a run of such deliveries
+// fires nothing, so a caller may account it with one call per hook,
+// passing the run's counts as n.
 func (p *Plane) Quiet(c, out0, out1 int) bool {
-	if p.cfg.Trigger == TriggerWindow {
-		for _, in := range p.log {
-			if !in.Fired {
-				return false
-			}
-		}
-		return true
-	}
 	return len(p.delivPending[c])+len(p.nodePending[c/2])+len(p.sendPending[out0])+len(p.sendPending[out1]) == 0
 }
 

@@ -421,8 +421,7 @@ func TestWindowTriggerLocalUnaffected(t *testing.T) {
 
 // TestQuietRuns: Quiet holds exactly when no injection is pending on the
 // delivery channel, its receiving node or the two channels that node
-// sends on (any pending injection, under TriggerWindow), and while it
-// holds a counted hook call advances a counter by a whole run without
+// sends on, under either trigger, and while it holds a counted hook call advances a counter by a whole run without
 // firing; the injection then still fires at its own trigger.
 func TestQuietRuns(t *testing.T) {
 	schedule := []fault.Injection{
@@ -466,8 +465,14 @@ func TestQuietRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Quiet(4, 1, 2) {
-		t.Error("window-mode Quiet true with an injection pending elsewhere")
+	// A window injection fires only at its own target's event, so an
+	// injection pending elsewhere leaves the run quiet, and a run that
+	// touches the target is not.
+	if !w.Quiet(4, 1, 2) {
+		t.Error("window-mode Quiet false with the only injection pending on an untouched node")
+	}
+	if w.Quiet(2, 4, 0) {
+		t.Error("window-mode Quiet true with a crash pending on the receiving node")
 	}
 	w.OnDeliver(1, 4, 2)
 	if got := w.OnHandler(2, 1, 1); got != fault.Crash {

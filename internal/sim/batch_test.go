@@ -467,12 +467,13 @@ func checkFaultedBatch(t *testing.T, inst instance, sched sim.Scheduler, faultSe
 }
 
 // TestBatchedFaultsMatchExpanded is the batched differential with a fault
-// plane attached: for every instance, stock scheduler, fault class and
-// budget, the batched faulted run, expanded run by run, must equal a
-// per-pulse faulted replay of its schedule event for event, with the same
-// Result and the same injection log (every injection firing at the same
-// step). Restart wake-ups and spurious pulses are not replayed; the
-// replay's own plane produces them.
+// plane attached: for every instance, stock scheduler, fault class,
+// budget and trigger, the batched faulted run, expanded run by run, must
+// equal a per-pulse faulted replay of its schedule event for event, with
+// the same Result and the same injection log (every injection firing at
+// the same step). Restart wake-ups and spurious pulses are not replayed;
+// the replay's own plane produces them. Subtests without a trigger
+// suffix use TriggerLocal.
 func TestBatchedFaultsMatchExpanded(t *testing.T) {
 	for _, inst := range instances() {
 		topo, err := inst.topo()
@@ -482,11 +483,16 @@ func TestBatchedFaultsMatchExpanded(t *testing.T) {
 		for schedName := range sim.Stock(1) {
 			for _, class := range faultClasses {
 				for budget := 1; budget <= 2; budget++ {
-					name := fmt.Sprintf("%s/%s/%s/budget=%d", inst.name, schedName, class, budget)
-					t.Run(name, func(t *testing.T) {
-						cfg := fault.Config{Nodes: topo.N(), Classes: fault.NewSet(class), Budget: budget}
-						checkFaultedBatch(t, inst, sim.Stock(3)[schedName], int64(budget)*7+int64(class), cfg)
-					})
+					for _, trigger := range []fault.TriggerMode{fault.TriggerLocal, fault.TriggerWindow} {
+						name := fmt.Sprintf("%s/%s/%s/budget=%d", inst.name, schedName, class, budget)
+						if trigger == fault.TriggerWindow {
+							name += "/window"
+						}
+						t.Run(name, func(t *testing.T) {
+							cfg := fault.Config{Nodes: topo.N(), Classes: fault.NewSet(class), Budget: budget, Trigger: trigger}
+							checkFaultedBatch(t, inst, sim.Stock(3)[schedName], int64(budget)*7+int64(class), cfg)
+						})
+					}
 				}
 			}
 		}

@@ -34,6 +34,22 @@ type OldestView interface {
 	OldestDeliverable() (c int, ok bool)
 }
 
+// WeightedView is an optional fast path for picks weighted by queue
+// length, backed by the simulator's incrementally maintained Fenwick
+// tree. DeliverableWeight returns the number of messages queued on
+// deliverable channels; DeliverableAt(x), for 0 <= x < that total,
+// returns the smallest deliverable channel c such that the queue lengths
+// of the deliverable channels up to and including c add up to more than
+// x, in O(log n). That is exactly the channel an ascending scan over
+// Deliverable() subtracting QueueLen from x stops at, so schedulers using
+// it make identical decisions, just faster. ok is false when the fast
+// path is unavailable (the rescan reference simulator), in which case
+// callers must fall back to the scan.
+type WeightedView interface {
+	DeliverableWeight() (total int, ok bool)
+	DeliverableAt(x int) int
+}
+
 // HeapKind selects the ordering of a scheduler aux heap (see HeapHinted).
 type HeapKind uint8
 
@@ -112,6 +128,8 @@ func (v *view[M]) QueueLen(c int) int              { return v.s.QueueLen(c) }
 func (v *view[M]) Direction(c int) pulse.Direction { return v.s.chanDir[c] }
 func (v *view[M]) Step() uint64                    { return v.s.step }
 func (v *view[M]) OldestDeliverable() (int, bool)  { return v.s.oldestDeliverable() }
+func (v *view[M]) DeliverableWeight() (int, bool)  { return v.s.deliverableWeight() }
+func (v *view[M]) DeliverableAt(x int) int         { return v.s.deliverableAt(uint64(x)) }
 
 func (v *view[M]) NewestDeliverable() (int, bool) {
 	if i := v.s.auxFind(HeapNewest, 0); i >= 0 {
@@ -250,6 +268,9 @@ func (Heaviest) HeapHints() []HeapHint { return []HeapHint{{Kind: HeapHeaviest}}
 
 // Random delivers a uniformly random in-flight deliverable message
 // (channels weighted by queue length). Deterministic for a fixed seed.
+// The pick is O(log n) through the simulator's weighted sampler
+// (WeightedView), which lands on the channel the scan below picks for
+// the same draw, so both consume the same random stream.
 type Random struct{ rng *rand.Rand }
 
 // NewRandom returns a Random scheduler seeded with seed.
@@ -259,6 +280,11 @@ func NewRandom(seed int64) *Random {
 
 // Next implements Scheduler.
 func (r *Random) Next(v View) int {
+	if wv, ok := v.(WeightedView); ok {
+		if total, ok := wv.DeliverableWeight(); ok {
+			return wv.DeliverableAt(r.rng.Intn(total))
+		}
+	}
 	ds := v.Deliverable()
 	total := 0
 	for _, c := range ds {

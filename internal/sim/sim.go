@@ -162,6 +162,17 @@ type Sim[M any] struct {
 	// which keeps the rescan reference a heap-free oracle.
 	aux []auxHeap
 
+	// wTree is the weighted sampler behind WeightedView (weights.go): a
+	// Fenwick tree over channels weighted by queued-message count while
+	// deliverable, with wts each channel's current weight and wTotal
+	// their sum. Like the oldest heap it starts at the first consult
+	// (wOn), so only Random and Laggy pay for it, and rescan mode never
+	// builds it.
+	wTree  []uint64
+	wts    []uint64
+	wTotal uint64
+	wOn    bool
+
 	step      uint64
 	seq       uint64
 	sent      uint64
@@ -617,15 +628,22 @@ func (s *Sim[M]) enqueue(c int, msg M, n uint64, dir pulse.Direction) {
 		// Empty -> non-empty is the only enqueue transition that can
 		// change deliverability.
 		s.refreshChan(c)
-	} else if len(s.aux) > 0 && s.deliv.get(c) {
-		// The head is unchanged, so the head-keyed heaps dedup this to
-		// a no-op; only a count-keyed heap (HeapHeaviest) re-registers.
-		s.auxPush(c, q.front().seq)
+	} else if (s.wOn || len(s.aux) > 0) && s.deliv.get(c) {
+		// The head is unchanged but the count moved: the weighted
+		// sampler and a count-keyed heap (HeapHeaviest) re-register; the
+		// head-keyed heaps dedup this to a no-op.
+		if s.wOn {
+			s.setWeight(c, q.tot)
+		}
+		if len(s.aux) > 0 {
+			s.auxPush(c, q.front().seq)
+		}
 	}
 }
 
 // refreshChan recomputes channel c's bit in the deliverable set and, when
-// deliverable, registers its current head in the oldest-message heap.
+// deliverable, registers its current head in the oldest-message heap and
+// its count in the weighted sampler.
 func (s *Sim[M]) refreshChan(c int) {
 	k := ChanNode(c)
 	was := s.deliv.get(c)
@@ -638,9 +656,15 @@ func (s *Sim[M]) refreshChan(c int) {
 		if len(s.aux) > 0 {
 			s.auxPush(c, s.queues[c].front().seq)
 		}
+		if s.wOn {
+			s.setWeight(c, s.queues[c].tot)
+		}
 	} else if was {
 		s.deliv.clear(c)
 		s.delivCount--
+		if s.wOn {
+			s.setWeight(c, 0)
+		}
 	}
 }
 
